@@ -71,6 +71,8 @@ _MODELS = {
 
 
 def _cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     mu = parse_partition(args.mu)
     items = _MODELS[args.model](mu, args.case)
     total = len(items)

@@ -7,6 +7,10 @@ the combinatorial definition (0 for j < 0 except H(0,-1) = 1), while for
 j <= -2 it continues H as a polynomial, which the determinant relation
 between the two matrix families needs.
 
+An integer second argument keeps D and H in ``int`` arithmetic throughout
+(the ``int`` path of ``exact.binomial``); only a non-integral rational j
+sums in ``Fraction``.  Every count the CLI prints takes the ``int`` path.
+
 The brute-force counters walk the step set directly and serve as
 independent oracles for the closed forms.
 """
@@ -30,10 +34,10 @@ def delannoy_D(i: int, j: Exact) -> Exact:
 def _delannoy_D(i: int, j: Exact) -> Exact:
     if i < 0:
         return 0
-    total = Fraction(0)
-    for l in range(i + 1):
-        total += binomial(i, l) * binomial(j, l) * 2**l
-    return normalize(total)
+    # an int j keeps every term, and so the sum, an int
+    return normalize(
+        sum(binomial(i, l) * binomial(j, l) * 2**l for l in range(i + 1))
+    )
 
 
 @cache

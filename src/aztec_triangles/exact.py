@@ -4,10 +4,17 @@ double factorials, and fraction-free determinants.
 Every value is an ``int`` or a ``fractions.Fraction``; nothing here ever
 rounds.  Results with denominator 1 are normalized back to ``int`` so that
 counts print and compare as plain integers.
+
+``binomial`` and ``Matrix.determinant`` each have an ``int`` path, taken
+when the arguments are all ``int`` (an integer ``x``; a matrix whose every
+entry has type ``int``), which never builds a ``Fraction``.  Any
+``Fraction`` argument, even one with denominator 1, takes the ``Fraction``
+path.  Both paths return the same value.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
+from operator import floordiv, truediv
 
 Exact = int | Fraction
 
@@ -29,10 +36,14 @@ def as_fraction(x: Exact) -> Fraction:
 def binomial(x: Exact, l: int) -> Exact:
     """Extended binomial coefficient x(x-1)...(x-l+1)/l!, and 0 for l < 0.
 
-    ``x`` may be any rational; the falling product keeps everything exact.
+    ``x`` may be any rational.  An ``int`` x takes the ``int`` path:
+    ``math.comb(x, l)`` for x >= 0 and (-1)^l C(l-x-1, l) for x < 0 (upper
+    negation).  Otherwise the falling product is evaluated in ``Fraction``.
     """
     if l < 0:
         return 0
+    if isinstance(x, int):
+        return comb(x, l) if x >= 0 else (-1) ** l * comb(l - x - 1, l)
     num = Fraction(1)
     for m in range(l):
         num *= x - m
@@ -101,15 +112,25 @@ class Matrix:
         Pivots on the first nonzero entry of each column, swapping rows with
         sign tracking; an all-zero column short-circuits to 0.  The 0x0
         determinant is 1.
+
+        When every entry has type ``int`` each Bareiss quotient is exact
+        (Sylvester's identity), so elimination divides with ``//`` and
+        returns an ``int``.  Otherwise the entries become ``Fraction`` and
+        elimination divides with ``/``.
         """
         if self.nrows != self.ncols:
             raise ValueError(f"determinant of {self.nrows}x{self.ncols} matrix")
         n = self.nrows
         if n == 0:
             return 1
-        a = [[Fraction(x) for x in row] for row in self.entries]
+        if all(type(x) is int for row in self.entries for x in row):
+            a = [list(row) for row in self.entries]
+            divide = floordiv
+        else:
+            a = [[Fraction(x) for x in row] for row in self.entries]
+            divide = truediv
         sign = 1
-        prev = Fraction(1)
+        prev = 1
         for r in range(n - 1):
             pivot_row = next((i for i in range(r, n) if a[i][r] != 0), None)
             if pivot_row is None:
@@ -119,7 +140,7 @@ class Matrix:
                 sign = -sign
             for i in range(r + 1, n):
                 for j in range(r + 1, n):
-                    a[i][j] = (a[i][j] * a[r][r] - a[i][r] * a[r][j]) / prev
-                a[i][r] = Fraction(0)
+                    a[i][j] = divide(a[i][j] * a[r][r] - a[i][r] * a[r][j], prev)
+                a[i][r] = 0
             prev = a[r][r]
         return normalize(sign * a[n - 1][n - 1])

@@ -624,13 +624,20 @@ SUITES = {
 
 
 def run_suite(name: str, kmax: int | None = None) -> list[dict]:
-    """Run one named suite (or 'all'); kmax overrides the default sweep."""
+    """Run one named suite (or 'all'); kmax overrides the default sweep.
+
+    A sweep that yields no records checks nothing, so it raises ValueError
+    instead of passing vacuously.
+    """
     if name == "all":
-        records = []
-        for suite in SUITES.values():
-            records.extend(suite() if kmax is None else suite(kmax))
-        return records
-    if name not in SUITES:
+        suites = list(SUITES.values())
+    elif name in SUITES:
+        suites = [SUITES[name]]
+    else:
         raise ValueError(f"unknown suite {name!r}")
-    suite = SUITES[name]
-    return suite() if kmax is None else suite(kmax)
+    records = []
+    for suite in suites:
+        records.extend(suite() if kmax is None else suite(kmax))
+    if not records:
+        raise ValueError(f"suite {name!r} with kmax={kmax} produced no records")
+    return records

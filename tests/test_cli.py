@@ -176,3 +176,17 @@ def test_output_deterministic(capsys):
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
+
+
+def test_enumerate_negative_limit_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "enumerate", "--mu", "2,1", "--case", "1", "--model", "tiling", "--limit", "-1",
+    )
+    assert code == 2 and out == "" and "--limit" in err
+
+
+def test_verify_empty_sweep_exit_2(capsys):
+    for suite, kmax in (("main", "-1"), ("degree", "0")):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--kmax", kmax)
+        assert code == 2 and out == "" and "no records" in err, suite

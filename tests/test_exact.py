@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from aztec_triangles.exact import (
@@ -32,6 +33,20 @@ def test_binomial_pascal_grid():
     for x in xs:
         for l in range(-3, 9):
             assert binomial(x, l) == binomial(x - 1, l - 1) + binomial(x - 1, l)
+
+
+def _falling_binomial(x, l):
+    if l < 0:
+        return 0
+    return Fraction(prod(x - m for m in range(l)), factorial(l))
+
+
+def test_binomial_int_path_matches_falling_product():
+    for x in range(-10, 21):
+        for l in range(-1, 13):
+            value = binomial(x, l)
+            assert type(value) is int, (x, l)
+            assert value == _falling_binomial(x, l) == binomial(Fraction(x), l), (x, l)
 
 
 @given(
@@ -82,8 +97,9 @@ def test_floats_are_rejected():
     assert as_fraction(3) == Fraction(3)
     from aztec_triangles.delannoy import delannoy_D
 
-    with pytest.raises(TypeError):
-        delannoy_D(2, 0.5)
+    for j in (0.5, 2.0):
+        with pytest.raises(TypeError):
+            delannoy_D(2, j)
 
 
 def _det_by_permutation_expansion(m: Matrix):
@@ -130,6 +146,35 @@ def test_determinant_matches_permutation_expansion():
             ]
         )
         assert m.determinant() == _det_by_permutation_expansion(m)
+
+
+_int_rows = st.integers(min_value=0, max_value=6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@given(_int_rows, st.integers(min_value=0, max_value=2))
+@example([[0, 1, 2], [3, 4, 5], [6, 7, 8]], 0)  # singular, swap at the first pivot
+@example([[1, 2, 3], [2, 4, 7], [5, 1, 1]], 0)  # swap at the second pivot
+@example([[0, 0], [0, 5]], 0)  # all-zero first column
+def test_int_determinant_matches_fraction_and_expansion(rows, shape):
+    # shape 1 makes the last row a copy of the first, or zero when n = 1
+    # (singular); shape 2 zeroes the first pivot
+    if rows and shape == 1:
+        rows[-1] = list(rows[0]) if len(rows) > 1 else [0]
+    if rows and shape == 2:
+        rows[0][0] = 0
+    m = Matrix(rows)
+    value = m.determinant()
+    assert type(value) is int
+    as_fractions = Matrix([[Fraction(x) for x in row] for row in rows])
+    assert value == as_fractions.determinant() == _det_by_permutation_expansion(m)
+    if rows and shape == 1:
+        assert value == 0
 
 
 def test_matrix_accessors():

@@ -52,11 +52,13 @@ def test_case2_is_case1_at_half_shift():
 
 
 def test_products_match_counts():
-    for k in range(1, 5):
-        for n in range(k, 5):
-            mu = staircase(k, n)
-            assert product_case1(k, 2 * n) == count_sequences(mu, 1), (k, n)
-            assert product_case2(k, n) == count_sequences(mu, 2), (k, n)
+    # padded staircases (k,...,1,0^(n-k)), then plain staircases up to k = 30
+    shapes = [(k, n) for k in range(1, 9) for n in range(k, k + 4)]
+    shapes += [(k, k) for k in range(9, 31)]
+    for k, n in shapes:
+        mu = staircase(k, n)
+        assert product_case1(k, 2 * n) == count_sequences(mu, 1), (k, n)
+        assert product_case2(k, n) == count_sequences(mu, 2), (k, n)
 
 
 def test_main_examples():
