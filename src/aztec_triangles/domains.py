@@ -119,37 +119,44 @@ def validate_tiling(tiling: Tiling) -> bool:
 
 def enumerate_tilings(domain: Domain, cap: int | None = None) -> list[Tiling]:
     """Backtracking exact cover over the first uncovered cell in (d, p)
-    order; that cell is always the start of some domino."""
+    order; that cell is always the start of some domino.
+
+    Each cell's dominoes are built once, H before V.  Dominoes are placed in
+    start-cell order and ``Domino`` orders "H" < "V", so every tiling comes
+    out with sorted dominoes and the list comes out sorted by ``t.dominoes``
+    without a sort."""
     cells = domain.sorted_cells()
-    in_domain = domain.cells
+    index = {cell: i for i, cell in enumerate(cells)}
+    options = [
+        [
+            (Domino(d, p, orient), index[other])
+            for orient, other in ((HORIZONTAL, (d + 1, p + 1)), (VERTICAL, (d + 1, p)))
+            if other in index
+        ]
+        for d, p in cells
+    ]
     budget = SearchBudget(cap)
-    covered = set()
+    covered = bytearray(len(cells) + 1)  # last byte stays 0: find() stops there
     chosen = []
     tilings = []
 
-    def place(index):
+    def place(i):
         budget.spend()
-        while index < len(cells) and cells[index] in covered:
-            index += 1
-        if index == len(cells):
-            tilings.append(Tiling(domain, tuple(sorted(chosen))))
+        i = covered.find(0, i)
+        if i == len(cells):
+            tilings.append(Tiling(domain, tuple(chosen)))
             return
-        d, p = cells[index]
-        for orient in (VERTICAL, HORIZONTAL):
-            domino = Domino(d, p, orient)
-            other = domino.cells()[1]
-            if other not in in_domain or other in covered:
+        # cell i is the first uncovered one, so only its partner needs marking
+        for domino, j in options[i]:
+            if covered[j]:
                 continue
-            covered.add((d, p))
-            covered.add(other)
+            covered[j] = 1
             chosen.append(domino)
-            place(index + 1)
+            place(i + 1)
             chosen.pop()
-            covered.discard((d, p))
-            covered.discard(other)
+            covered[j] = 0
 
     place(0)
-    tilings.sort(key=lambda t: t.dominoes)
     return tilings
 
 

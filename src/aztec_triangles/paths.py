@@ -185,12 +185,13 @@ def enumerate_path_families(
     n = len(mu)
     budget = SearchBudget(cap)
     mu_full = pad(mu, n)
-    candidates = [
-        _single_paths(
-            start_point(j), end_point(mu_full, case, j), case == 2, budget
-        )
-        for j in range(1, n + 1)
-    ]
+    # each candidate path and its points, built once for the whole search
+    candidates = []
+    for j in range(1, n + 1):
+        start = start_point(j)
+        words = _single_paths(start, end_point(mu_full, case, j), case == 2, budget)
+        paths_j = [LatticePath(start, steps) for steps in words]
+        candidates.append([(path, path.points()) for path in paths_j])
     families = []
 
     def assemble(chosen, used, j):
@@ -198,10 +199,8 @@ def enumerate_path_families(
         if j > n:
             families.append(PathFamily(case, mu, tuple(chosen)))
             return
-        for steps in candidates[j - 1]:
-            path = LatticePath(start_point(j), steps)
-            pts = path.points()
-            if any(pt in used for pt in pts):
+        for path, pts in candidates[j - 1]:
+            if not used.isdisjoint(pts):
                 continue
             chosen.append(path)
             used.update(pts)

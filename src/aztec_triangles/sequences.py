@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from .errors import SearchBudget
 from .partitions import (
     Partition,
-    is_horizontal_strip,
     is_partition,
-    is_vertical_strip,
     normalize,
     pad,
     part,
@@ -54,28 +52,33 @@ def validate_sequence(seq: PartitionSequence) -> bool:
         return False
     if not is_partition(seq.mu):
         return False
-    if len(seq.chain) != chain_length(seq.mu, seq.case):
+    chain = seq.chain
+    if len(chain) != chain_length(seq.mu, seq.case):
         return False
-    if len(seq.chain) == 0:
+    if len(chain) == 0:
         return True
-    if normalize(seq.chain[0]) != ():
+    if normalize(chain[0]) != ():
         return False
-    if normalize(seq.chain[-1]) != normalize(seq.mu):
+    if normalize(chain[-1]) != normalize(seq.mu):
         return False
-    for i, lam in enumerate(seq.chain):
-        if not is_partition(lam):
-            return False
+    # Pad every entry with zeros to one past the longest.  Then one pass per
+    # step checks the strip and that the new entry is a partition, because
+    # each part must be >= the next and the padding ends in 0; chain[0] is
+    # all zeros, as checked above.
+    width = max(map(len, chain)) + 1
+    prev = (0,) * width
+    for i, lam in enumerate(chain[1:], start=1):
         if len(normalize(lam)) > (i + 1) // 2:
             return False
-        if i == 0:
-            continue
-        prev = seq.chain[i - 1]
-        if i % 2 == 1:
-            if not is_horizontal_strip(lam, prev):
-                return False
-        else:
-            if not is_vertical_strip(lam, prev):
-                return False
+        cur = tuple(lam) + (0,) * (width - len(lam))
+        steps = zip(cur, prev, cur[1:])
+        if i % 2 == 1:  # horizontal strip: cur_0 >= prev_0 >= cur_1 >= ...
+            ok = all(a >= b >= c for a, b, c in steps)
+        else:  # vertical strip: each part grows by 0 or 1
+            ok = all(b <= a <= b + 1 and a >= c for a, b, c in steps)
+        if not ok:
+            return False
+        prev = cur
     return True
 
 
@@ -129,7 +132,9 @@ def enumerate_sequences(
     """Exhaustively list the chains ending at mu, in lexicographic order.
 
     ``value_caps`` optionally bounds the part values per chain index (used
-    by the restricted variant below).
+    by the restricted variant below).  The extensions of lam at index i
+    depend only on (i, lam) within one call, so each is computed once and
+    kept in a table local to the call.
     """
     mu = tuple(mu)
     if not is_partition(mu):
@@ -140,6 +145,7 @@ def enumerate_sequences(
     bound = pad(target, n) if n else ()
     budget = SearchBudget(cap)
     out = []
+    table = {}
 
     if ell == 0:
         return [PartitionSequence(case, mu, ())]
@@ -149,16 +155,16 @@ def enumerate_sequences(
         if i == ell:
             out.append(PartitionSequence(case, mu, tuple(chain)))
             return
-        lam = chain[-1]
-        max_parts = (i + 1) // 2
-        value_cap = value_caps[i] if value_caps is not None else None
-        if i % 2 == 1:
-            options = _horizontal_extensions(lam, bound, max_parts, value_cap)
-        else:
-            options = _vertical_extensions(lam, bound, max_parts, value_cap)
-        if i == ell - 1:
-            options = [nu for nu in options if nu == target]
-        for nu in options:
+        key = (i, chain[-1])
+        if key not in table:
+            max_parts = (i + 1) // 2
+            value_cap = value_caps[i] if value_caps is not None else None
+            grow = _horizontal_extensions if i % 2 == 1 else _vertical_extensions
+            options = grow(chain[-1], bound, max_parts, value_cap)
+            if i == ell - 1:
+                options = [nu for nu in options if nu == target]
+            table[key] = options
+        for nu in table[key]:
             chain.append(nu)
             extend(chain, i + 1)
             chain.pop()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -90,6 +91,24 @@ def test_enumerate_limit_truncates_canonical_order(capsys):
     lines = out.strip().splitlines()
     assert json.loads(lines[0])["emitted"] == 2
     assert lines[1:] == full.strip().splitlines()[1:3]
+
+
+# sha256 of the full `enumerate --mu 4,3,2,1 --case 1` stdout of each model
+STREAM_DIGESTS = {
+    "sequence": "a00705acf9b6f8fed1b555ccb218e7cd019a6db8a125e065687038226813b087",
+    "tableau": "d6166741f42fdf3dda9dc5b591cf15b9b43eb09b6e75cef4dce6cbea6cf8cd22",
+    "paths": "6513217e59dde3044a4d4fe66ac779154494947cacdf3a9f636b04be2e67ded2",
+    "tiling": "2402005a2e889087c2c5937c33bacb1e54683b7585f4f281ac445fdaa379ad9e",
+}
+
+
+@pytest.mark.parametrize("model", sorted(STREAM_DIGESTS))
+def test_enumerate_stream_digest(capsys, model):
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--mu", "4,3,2,1", "--case", "1", "--model", model
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STREAM_DIGESTS[model]
 
 
 def test_enumerate_models(capsys):
@@ -190,3 +209,18 @@ def test_verify_empty_sweep_exit_2(capsys):
     for suite, kmax in (("main", "-1"), ("degree", "0")):
         code, out, err = run_cli(capsys, "verify", "--suite", suite, "--kmax", kmax)
         assert code == 2 and out == "" and "no records" in err, suite
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--mu", "1200", "--case", "1", "--method", "brute"),
+        ("enumerate", "--mu", "1200", "--case", "1", "--model", "tiling"),
+        ("enumerate", "--mu", "1200", "--case", "1", "--model", "paths"),
+    ],
+)
+def test_too_deep_search_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: search too deep") and "Traceback" not in err
+    assert err.count("\n") == 1

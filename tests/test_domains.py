@@ -147,6 +147,22 @@ def test_cap_exceeded():
         enumerate_tilings(build_domain((4, 3, 2, 1), 1), cap=10)
 
 
+def test_cap_threshold_is_exact():
+    # the search spends exactly 43,932 nodes on (4,3,2,1), case 1
+    dom = build_domain((4, 3, 2, 1), 1)
+    assert len(enumerate_tilings(dom, cap=43932)) == 3328
+    with pytest.raises(CapExceeded):
+        enumerate_tilings(dom, cap=43931)
+
+
+def test_tilings_in_canonical_order():
+    for mu in small_partitions(3, 3):
+        for case in (1, 2):
+            keys = [t.dominoes for t in enumerate_tilings(build_domain(mu, case))]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (mu, case)
+            assert all(list(k) == sorted(k) for k in keys), (mu, case)
+
+
 def test_ascii_goldens():
     assert render(build_domain((1,), 1), "ascii") == ".~\n:\n"
     tilings = enumerate_tilings(build_domain((2, 1), 1))

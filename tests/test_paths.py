@@ -5,6 +5,7 @@ import pytest
 from conftest import small_partitions
 
 from aztec_triangles.delannoy import delannoy_D, delannoy_H
+from aztec_triangles.errors import CapExceeded
 from aztec_triangles.exact import Matrix
 from aztec_triangles.paths import (
     LatticePath,
@@ -56,6 +57,13 @@ def test_enumerate_family_counts():
     assert len(enumerate_path_families((2, 1), 1)) == 4
     fams = enumerate_path_families((2, 1), 2)
     assert len(fams) == lgv_matrix((2, 1), 2).determinant()
+
+
+def test_enumerate_cap_threshold_is_exact():
+    # single paths plus assembly spend exactly 10,120 nodes on (4,3,2,1), case 1
+    assert len(enumerate_path_families((4, 3, 2, 1), 1, cap=10120)) == 3328
+    with pytest.raises(CapExceeded):
+        enumerate_path_families((4, 3, 2, 1), 1, cap=10119)
 
 
 def test_case2_paths_never_end_east():

@@ -1,10 +1,19 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import small_partitions
 
 from aztec_triangles.errors import CapExceeded
+from aztec_triangles.partitions import (
+    is_horizontal_strip,
+    is_partition,
+    is_vertical_strip,
+    normalize,
+)
 from aztec_triangles.sequences import (
     PartitionSequence,
+    chain_length,
     count_sequences,
     enumerate_restricted,
     enumerate_sequences,
@@ -107,3 +116,64 @@ def test_restricted_bound_holds():
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         enumerate_sequences((3, 2, 1), 1, cap=5)
+
+
+def test_cap_threshold_is_exact():
+    # the search spends exactly 11,065 nodes on (4,3,2,1), case 1
+    assert len(enumerate_sequences((4, 3, 2, 1), 1, cap=11065)) == 3328
+    with pytest.raises(CapExceeded):
+        enumerate_sequences((4, 3, 2, 1), 1, cap=11064)
+
+
+def _reference_validate(seq):
+    """The five chain conditions, read off the strip predicates directly."""
+    if seq.case not in (1, 2) or not is_partition(seq.mu):
+        return False
+    chain = seq.chain
+    if len(chain) != chain_length(seq.mu, seq.case):
+        return False
+    if not chain:
+        return True
+    if normalize(chain[0]) != () or normalize(chain[-1]) != normalize(seq.mu):
+        return False
+    for i, lam in enumerate(chain):
+        if not is_partition(lam) or len(normalize(lam)) > (i + 1) // 2:
+            return False
+        strip = is_horizontal_strip if i % 2 == 1 else is_vertical_strip
+        if i > 0 and not strip(lam, chain[i - 1]):
+            return False
+    return True
+
+
+_VALID = [
+    seq
+    for mu in small_partitions(3, 3)
+    for case in (1, 2)
+    for seq in enumerate_sequences(mu, case)
+]
+_parts = st.lists(st.integers(-1, 4), max_size=5)
+_tuples = st.one_of(
+    _parts.map(lambda p: tuple(sorted(p, reverse=True))),  # mostly partitions
+    _parts.map(tuple),
+)
+
+
+@st.composite
+def _sequences(draw):
+    """A valid chain with up to three entries replaced, or an arbitrary one."""
+    if draw(st.booleans()):
+        seq = draw(st.sampled_from(_VALID))
+        chain = list(seq.chain)
+        for _ in range(draw(st.integers(0, 3)) if chain else 0):
+            chain[draw(st.integers(0, len(chain) - 1))] = draw(_tuples)
+        return PartitionSequence(seq.case, seq.mu, tuple(chain))
+    mu = draw(_tuples)
+    case = draw(st.integers(0, 3))
+    length = 2 * len(mu) + draw(st.integers(-1, 2))
+    chain = draw(st.lists(_tuples, min_size=max(length, 0), max_size=max(length, 0)))
+    return PartitionSequence(case, mu, tuple(chain))
+
+
+@given(_sequences())
+def test_validate_matches_strip_predicates(seq):
+    assert validate_sequence(seq) == _reference_validate(seq)
