@@ -165,7 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an identity suite, print JSON report")
     p.add_argument("--suite", choices=sorted(SUITES) + ["all"], required=True)
-    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument(
+        "--kmax", type=int, default=None,
+        help="top of the sweep; id1 and id2 sweep to max(4s+6, kmax) for each s",
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("render", help="draw a domain or one of its tilings")

@@ -20,7 +20,6 @@ with particles; reading each diagonal's hole/particle word through the Maya
 correspondence produces the partition chain.
 """
 
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 
 from .errors import SearchBudget
@@ -135,7 +134,7 @@ def enumerate_tilings(domain: Domain, cap: int | None = None) -> list[Tiling]:
         ]
         for d, p in cells
     ]
-    budget = SearchBudget(cap)
+    budget = SearchBudget("tiling", cap)
     covered = bytearray(len(cells) + 1)  # last byte stays 0: find() stops there
     chosen = []
     tilings = []
@@ -288,6 +287,9 @@ def _tiling_ascii(tiling: Tiling) -> str:
 
 
 def _svg_root(domain: Domain):
+    # ElementTree is imported only where SVG is drawn: every CLI call would
+    # pay for importing it at module top.
+    import xml.etree.ElementTree as ET
     ell = domain.num_diagonals
     width = max((domain.lengths[d] for d in range(ell)), default=0)
     height = ell - 1 + width if ell else 0
@@ -302,6 +304,7 @@ def _svg_root(domain: Domain):
 
 
 def _svg_cell_rect(parent, domain, height, d, p, fill, dashed=False):
+    import xml.etree.ElementTree as ET
     x, y = _cell_xy(domain, d, p)
     attrs = {
         "x": str((x + 1) * _SVG_UNIT),
@@ -325,12 +328,14 @@ def _svg_cells(root, domain, height):
 
 
 def _domain_svg(domain: Domain) -> str:
+    import xml.etree.ElementTree as ET
     root, height = _svg_root(domain)
     _svg_cells(root, domain, height)
     return ET.tostring(root, encoding="unicode") + "\n"
 
 
 def _tiling_svg(tiling: Tiling) -> str:
+    import xml.etree.ElementTree as ET
     domain = tiling.domain
     root, height = _svg_root(domain)
     _svg_cells(root, domain, height)

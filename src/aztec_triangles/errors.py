@@ -25,13 +25,15 @@ def default_cap() -> int:
 
 
 class SearchBudget:
-    """Counts search nodes and aborts once the cap is reached."""
+    """Counts the nodes of one named search ("tiling", "chain" or "path")
+    and aborts once the cap is reached."""
 
-    def __init__(self, cap: int | None = None):
+    def __init__(self, name: str, cap: int | None = None):
+        self.name = name
         self.cap = default_cap() if cap is None else cap
         self.used = 0
 
     def spend(self, amount: int = 1) -> None:
         self.used += amount
         if self.used > self.cap:
-            raise CapExceeded(f"search exceeded cap of {self.cap} nodes")
+            raise CapExceeded(f"{self.name} search exceeded cap of {self.cap} nodes")

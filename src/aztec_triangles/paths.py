@@ -183,7 +183,7 @@ def enumerate_path_families(
     endpoints, in lexicographic order of their step words."""
     mu = check_partition(tuple(mu))
     n = len(mu)
-    budget = SearchBudget(cap)
+    budget = SearchBudget("path", cap)
     mu_full = pad(mu, n)
     # each candidate path and its points, built once for the whole search
     candidates = []

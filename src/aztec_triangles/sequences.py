@@ -7,6 +7,8 @@ parts.
 """
 
 from dataclasses import dataclass
+from itertools import product
+from operator import add
 
 from .errors import SearchBudget
 from .partitions import (
@@ -82,45 +84,63 @@ def validate_sequence(seq: PartitionSequence) -> bool:
     return True
 
 
-def _horizontal_extensions(lam, bound, max_parts, value_cap=None):
-    """All nu >= lam with nu/lam a horizontal strip, nu inside bound, at most
-    max_parts nonzero parts, and parts <= value_cap; ascending order."""
-    rows = min(max_parts, len(bound))
-    results = []
-
-    def grow(prefix, r):
-        if r == rows:
-            results.append(normalize(tuple(prefix)))
-            return
+def _strip_extensions(lam, bound, max_parts, value_cap, vertical):
+    """All nu >= lam with nu/lam a horizontal strip (nu_r <= lam_(r-1)), or a
+    vertical one (nu_r <= lam_r + 1) if ``vertical``, nu a partition inside
+    bound with at most max_parts nonzero parts and parts <= value_cap, in
+    ascending order."""
+    ranges = []
+    for r in range(min(max_parts, len(bound))):
         lo = part(lam, r)
-        hi = min(bound[r], part(lam, r - 1) if r > 0 else bound[r])
+        top = lo + 1 if vertical else part(lam, r - 1) if r else bound[r]
+        hi = min(bound[r], top)
         if value_cap is not None:
             hi = min(hi, value_cap)
-        for v in range(lo, hi + 1):
-            grow(prefix + [v], r + 1)
-
-    grow([], 0)
-    return sorted(set(results))
+        ranges.append(range(lo, hi + 1))
+    return [normalize(nu) for nu in product(*ranges) if is_partition(nu)]
 
 
-def _vertical_extensions(lam, bound, max_parts, value_cap=None):
-    """Same but nu/lam a vertical strip (each part grows by at most 1)."""
-    rows = min(max_parts, len(bound))
-    results = []
+def chain_search(mu, case, cap, value_caps, step, fold, start) -> list:
+    """The one chain search: a depth-first walk over the chains ending at
+    mu, in lexicographic order, spending one budget node per chain prefix.
 
-    def grow(prefix, r):
-        if r == rows:
-            results.append(normalize(tuple(prefix)))
+    The steps lam -> nu at chain index i depend only on (i, lam) within one
+    call, so each is computed once and kept in a table local to the call,
+    beside its payload ``step(i, lam, nu)``.  The walk folds the payloads of
+    a chain into a state, ``fold(state, payload)`` from ``start``, and
+    returns the final state of every chain.  ``value_caps`` optionally
+    bounds the part values per chain index.  ``mu`` is a tuple.
+    """
+    if not is_partition(mu):
+        raise ValueError(f"not a partition: {mu}")
+    ell = chain_length(mu, case)
+    target = normalize(mu)
+    bound = pad(target, len(mu))
+    budget = SearchBudget("chain", cap)
+    out = []
+    table = {}
+
+    if ell == 0:  # mu = () in case 1: the empty chain, and no rows
+        return [()]
+
+    def extend(state, lam, i):
+        budget.spend()
+        if i == ell:
+            out.append(state)
             return
-        lo = part(lam, r)
-        hi = min(bound[r], lo + 1, prefix[r - 1] if r > 0 else bound[r])
-        if value_cap is not None:
-            hi = min(hi, value_cap)
-        for v in range(lo, hi + 1):
-            grow(prefix + [v], r + 1)
+        key = (i, lam)
+        if key not in table:
+            max_parts = (i + 1) // 2
+            value_cap = value_caps[i] if value_caps is not None else None
+            options = _strip_extensions(lam, bound, max_parts, value_cap, i % 2 == 0)
+            if i == ell - 1:
+                options = [nu for nu in options if nu == target]
+            table[key] = [(nu, step(i, lam, nu)) for nu in options]
+        for nu, payload in table[key]:
+            extend(fold(state, payload), nu, i + 1)
 
-    grow([], 0)
-    return sorted(set(results))
+    extend(start, (), 1)
+    return out
 
 
 def enumerate_sequences(
@@ -132,45 +152,12 @@ def enumerate_sequences(
     """Exhaustively list the chains ending at mu, in lexicographic order.
 
     ``value_caps`` optionally bounds the part values per chain index (used
-    by the restricted variant below).  The extensions of lam at index i
-    depend only on (i, lam) within one call, so each is computed once and
-    kept in a table local to the call.
+    by the restricted variant below).  In the chain search, the payload of
+    a step to nu is ``(nu,)`` and the state is the chain so far.
     """
     mu = tuple(mu)
-    if not is_partition(mu):
-        raise ValueError(f"not a partition: {mu}")
-    ell = chain_length(mu, case)
-    n = len(mu)
-    target = normalize(mu)
-    bound = pad(target, n) if n else ()
-    budget = SearchBudget(cap)
-    out = []
-    table = {}
-
-    if ell == 0:
-        return [PartitionSequence(case, mu, ())]
-
-    def extend(chain, i):
-        budget.spend()
-        if i == ell:
-            out.append(PartitionSequence(case, mu, tuple(chain)))
-            return
-        key = (i, chain[-1])
-        if key not in table:
-            max_parts = (i + 1) // 2
-            value_cap = value_caps[i] if value_caps is not None else None
-            grow = _horizontal_extensions if i % 2 == 1 else _vertical_extensions
-            options = grow(chain[-1], bound, max_parts, value_cap)
-            if i == ell - 1:
-                options = [nu for nu in options if nu == target]
-            table[key] = options
-        for nu in table[key]:
-            chain.append(nu)
-            extend(chain, i + 1)
-            chain.pop()
-
-    extend([()], 1)
-    return out
+    chains = chain_search(mu, case, cap, value_caps, lambda i, lam, nu: (nu,), add, ((),))
+    return [PartitionSequence(case, mu, chain) for chain in chains]
 
 
 def count_sequences(mu: Partition, case: int) -> int:

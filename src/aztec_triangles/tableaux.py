@@ -8,11 +8,11 @@ and no value smaller than its row index may appear (rows 1-based).
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple
 
-from . import sequences as _sequences
 from .partitions import Partition, is_partition, normalize, pad, part
-from .sequences import PartitionSequence, chain_length, validate_sequence
+from .sequences import PartitionSequence, chain_length, chain_search, validate_sequence
 
 
 class Entry(NamedTuple):
@@ -126,8 +126,21 @@ def tableau_to_sequence(t: SuperSymplecticTableau) -> PartitionSequence:
 def enumerate_tableaux(
     mu: Partition, case: int, cap: int | None = None
 ) -> list[SuperSymplecticTableau]:
-    """All type-1/type-2 tableaux of shape mu, via the chain bijection."""
-    return [
-        sequence_to_tableau(seq)
-        for seq in _sequences.enumerate_sequences(mu, case, cap=cap)
-    ]
+    """All type-1/type-2 tableaux of shape mu, in chain order.
+
+    The chain search builds them itself, so no chain is kept or validated
+    again: the payload of step i from lam to nu gives each row r its
+    nu_r - lam_r new cells, all holding the step's entry, and the state is
+    the tuple of rows.
+    """
+    mu = tuple(mu)
+
+    def cells(i, lam, nu):
+        entry = _entry_for_chain_index(i)
+        return tuple((entry,) * (part(nu, r) - part(lam, r)) for r in range(len(mu)))
+
+    def grow(rows, new):
+        return tuple(map(add, rows, new))
+
+    fillings = chain_search(mu, case, cap, None, cells, grow, ((),) * len(mu))
+    return [SuperSymplecticTableau(case, mu, rows) for rows in fillings]

@@ -626,6 +626,10 @@ SUITES = {
 def run_suite(name: str, kmax: int | None = None) -> list[dict]:
     """Run one named suite (or 'all'); kmax overrides the default sweep.
 
+    For most suites kmax is the top of the sweep.  ``id1`` and ``id2`` read
+    it as a lower bound on the top of each of their sweeps, which runs to
+    ``max(4s+6, kmax)`` for each s, so a small kmax never shortens them.
+
     A sweep that yields no records checks nothing, so it raises ValueError
     instead of passing vacuously.
     """

@@ -190,6 +190,19 @@ def test_cap_exceeded_exit_3(capsys, monkeypatch):
     assert code == 3 and "cap" in err
 
 
+@pytest.mark.parametrize(
+    "model, search",
+    [("sequence", "chain"), ("tableau", "chain"), ("paths", "path"), ("tiling", "tiling")],
+)
+def test_cap_exceeded_names_search(capsys, monkeypatch, model, search):
+    monkeypatch.setenv("AZTEC_CAP", "5")
+    code, out, err = run_cli(
+        capsys, "enumerate", "--mu", "3,2,1", "--case", "1", "--model", model
+    )
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err == f"error: {search} search exceeded cap of 5 nodes\n"
+
+
 def test_output_deterministic(capsys):
     args = ("enumerate", "--mu", "2,1", "--case", "2", "--model", "paths")
     _, first, _ = run_cli(capsys, *args)

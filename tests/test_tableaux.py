@@ -1,5 +1,8 @@
 import pytest
 
+from conftest import small_partitions
+
+from aztec_triangles.errors import CapExceeded
 from aztec_triangles.sequences import PartitionSequence, enumerate_sequences
 from aztec_triangles.tableaux import (
     Entry,
@@ -92,6 +95,21 @@ def test_enumerate_examples():
     assert only[0].rows == rows_of(("1",))
     assert len(enumerate_tableaux((2, 1), 1)) == 4
     assert len(enumerate_tableaux((1, 0), 2)) == 4
+
+
+def test_enumerate_matches_bijection():
+    for mu in small_partitions(3, 3):
+        for case in (1, 2):
+            assert enumerate_tableaux(mu, case) == [
+                sequence_to_tableau(s) for s in enumerate_sequences(mu, case)
+            ], (mu, case)
+
+
+def test_cap_threshold_is_exact():
+    # the tableaux come from the chain search: 11,065 nodes on (4,3,2,1), case 1
+    assert len(enumerate_tableaux((4, 3, 2, 1), 1, cap=11065)) == 3328
+    with pytest.raises(CapExceeded):
+        enumerate_tableaux((4, 3, 2, 1), 1, cap=11064)
 
 
 def test_rows_have_at_most_one_barred_value():
