@@ -5,144 +5,86 @@ super symplectic tableaux, non-intersecting Delannoy paths, and domino
 tilings, plus closed-form products and the exact identity suites behind
 them.  All arithmetic is exact (arbitrary-precision integers and
 rationals); no tolerances anywhere.
+
+Every name in ``__all__`` is importable from here and is loaded from its
+module on first use (PEP 562), so importing the package loads none of the
+modules and each CLI verb loads only those it runs.
 """
 
-from .delannoy import (
-    count_D_paths_bruteforce,
-    count_H_paths_bruteforce,
-    delannoy_D,
-    delannoy_H,
-    half_shift_expansion,
-)
-from .domains import (
-    Domain,
-    Domino,
-    Tiling,
-    build_domain,
-    enumerate_tilings,
-    render,
-    sequence_to_tiling,
-    tiling_to_sequence,
-    validate_tiling,
-)
-from .errors import CapExceeded, IdentityError
-from .exact import Matrix, binomial, double_factorial, pochhammer
-from .formulas import (
-    df_formula,
-    g_formula,
-    product_case1,
-    product_case2,
-    product_main,
-)
-from .partitions import (
-    Partition,
-    conjugate,
-    from_maya,
-    is_horizontal_strip,
-    is_vertical_strip,
-    to_maya,
-)
-from .paths import (
-    LatticePath,
-    PathFamily,
-    d_submatrix,
-    enumerate_path_families,
-    lgv_matrix,
-    paths_to_tableau,
-    tableau_to_paths,
-)
-from .sequences import (
-    PartitionSequence,
-    count_sequences,
-    enumerate_restricted,
-    enumerate_sequences,
-    validate_sequence,
-)
-from .tableaux import (
-    Entry,
-    SuperSymplecticTableau,
-    enumerate_tableaux,
-    sequence_to_tableau,
-    tableau_to_sequence,
-    validate_tableau,
-)
-from .verify import (
-    KernelReport,
-    check_degree_and_leading,
-    check_detprop,
-    check_gamma6,
-    check_id1,
-    check_id2,
-    check_main,
-    check_step1,
-    check_step2,
-    check_step3,
-    check_step4,
-    run_suite,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CapExceeded",
-    "Domain",
-    "Domino",
-    "Entry",
-    "IdentityError",
-    "KernelReport",
-    "LatticePath",
-    "Matrix",
-    "Partition",
-    "PartitionSequence",
-    "PathFamily",
-    "SuperSymplecticTableau",
-    "Tiling",
-    "binomial",
-    "build_domain",
-    "check_degree_and_leading",
-    "check_detprop",
-    "check_gamma6",
-    "check_id1",
-    "check_id2",
-    "check_main",
-    "check_step1",
-    "check_step2",
-    "check_step3",
-    "check_step4",
-    "conjugate",
-    "count_D_paths_bruteforce",
-    "count_H_paths_bruteforce",
-    "count_sequences",
-    "d_submatrix",
-    "delannoy_D",
-    "delannoy_H",
-    "df_formula",
-    "double_factorial",
-    "enumerate_path_families",
-    "enumerate_restricted",
-    "enumerate_sequences",
-    "enumerate_tableaux",
-    "enumerate_tilings",
-    "from_maya",
-    "g_formula",
-    "half_shift_expansion",
-    "is_horizontal_strip",
-    "is_vertical_strip",
-    "lgv_matrix",
-    "paths_to_tableau",
-    "pochhammer",
-    "product_case1",
-    "product_case2",
-    "product_main",
-    "render",
-    "run_suite",
-    "sequence_to_tableau",
-    "sequence_to_tiling",
-    "tableau_to_paths",
-    "tableau_to_sequence",
-    "tiling_to_sequence",
-    "to_maya",
-    "validate_sequence",
-    "validate_tableau",
-    "validate_tiling",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "count_D_paths_bruteforce", "count_H_paths_bruteforce", "d_submatrix",
+            "delannoy_D", "delannoy_H", "half_shift_expansion", "lgv_matrix",
+        ),
+        "delannoy",
+    ),
+    **dict.fromkeys(
+        (
+            "Domain", "Domino", "Tiling", "build_domain", "enumerate_tilings", "render",
+            "sequence_to_tiling", "tiling_to_sequence", "validate_tiling",
+        ),
+        "domains",
+    ),
+    **dict.fromkeys(("CapExceeded", "IdentityError"), "errors"),
+    **dict.fromkeys(("Matrix", "binomial", "pochhammer"), "exact"),
+    **dict.fromkeys(
+        (
+            "df_formula", "g_formula", "product_case1", "product_case2", "product_main",
+        ),
+        "formulas",
+    ),
+    **dict.fromkeys(
+        (
+            "Partition", "conjugate", "from_maya", "is_horizontal_strip",
+            "is_vertical_strip", "to_maya",
+        ),
+        "partitions",
+    ),
+    **dict.fromkeys(
+        (
+            "LatticePath", "PathFamily", "enumerate_path_families", "paths_to_tableau",
+            "tableau_to_paths",
+        ),
+        "paths",
+    ),
+    **dict.fromkeys(
+        (
+            "PartitionSequence", "count_sequences", "enumerate_restricted",
+            "enumerate_sequences", "validate_sequence",
+        ),
+        "sequences",
+    ),
+    **dict.fromkeys(
+        (
+            "Entry", "SuperSymplecticTableau", "enumerate_tableaux",
+            "sequence_to_tableau", "tableau_to_sequence", "validate_tableau",
+        ),
+        "tableaux",
+    ),
+    **dict.fromkeys(
+        (
+            "KernelReport", "check_degree_and_leading", "check_detprop", "check_gamma6",
+            "check_id1", "check_id2", "check_main", "check_step1", "check_step2",
+            "check_step3", "check_step4", "run_suite",
+        ),
+        "verify",
+    ),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -7,20 +7,22 @@ object per element in canonical order; verify prints a JSON report array.
 Exit codes: 0 success / all checks pass, 1 a verification or crosscheck
 failed, 2 invalid input, 3 enumeration cap exceeded (see AZTEC_CAP) or a
 search too deep for the Python stack.
+
+Each verb imports what it runs inside its handler, so a call loads only
+those modules: ``count --method det`` and ``verify`` never load the path,
+tableau, chain or tiling models, and ``--help`` loads none of them.
 """
 
 import argparse
 import json
 import sys
 
-from .domains import build_domain, enumerate_tilings, render
 from .errors import CapExceeded, IdentityError
-from .formulas import product_case1, product_case2
 from .partitions import Partition, check_partition, normalize
-from .paths import enumerate_path_families
-from .sequences import count_sequences, enumerate_sequences
-from .tableaux import enumerate_tableaux
-from .verify import SUITES, run_suite
+
+# The names of verify.SUITES, kept here so that building the parser does not
+# import verify; a test keeps the two equal.
+SUITE_NAMES = ("case12", "degree", "delannoy", "detprop", "id1", "id2", "kernels", "main")
 
 
 def parse_partition(text: str) -> Partition:
@@ -46,8 +48,12 @@ def _staircase_parameters(mu: Partition):
 def _cmd_count(args) -> int:
     mu = parse_partition(args.mu)
     if args.method == "det":
-        value = count_sequences(mu, args.case)
+        from .delannoy import lgv_matrix
+
+        value = lgv_matrix(mu, args.case).determinant()
     elif args.method == "product":
+        from .formulas import product_case1, product_case2
+
         staircase = _staircase_parameters(mu)
         if staircase is None or staircase[0] < 1:
             raise ValueError(
@@ -58,24 +64,38 @@ def _cmd_count(args) -> int:
             product_case1(k, 2 * n) if args.case == 1 else product_case2(k, n)
         )
     else:  # brute
-        value = len(enumerate_tilings(build_domain(mu, args.case)))
+        value = len(_items("tiling", mu, args.case))
     print(value)
     return 0
 
 
-_MODELS = {
-    "sequence": lambda mu, case: enumerate_sequences(mu, case),
-    "tableau": lambda mu, case: enumerate_tableaux(mu, case),
-    "paths": lambda mu, case: enumerate_path_families(mu, case),
-    "tiling": lambda mu, case: enumerate_tilings(build_domain(mu, case)),
-}
+_MODELS = ("paths", "sequence", "tableau", "tiling")
+
+
+def _items(model: str, mu: Partition, case: int) -> list:
+    """Every object of one model, importing only that model's module."""
+    if model == "sequence":
+        from .sequences import enumerate_sequences
+
+        return enumerate_sequences(mu, case)
+    if model == "tableau":
+        from .tableaux import enumerate_tableaux
+
+        return enumerate_tableaux(mu, case)
+    if model == "paths":
+        from .paths import enumerate_path_families
+
+        return enumerate_path_families(mu, case)
+    from .domains import build_domain, enumerate_tilings
+
+    return enumerate_tilings(build_domain(mu, case))
 
 
 def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     mu = parse_partition(args.mu)
-    items = _MODELS[args.model](mu, args.case)
+    items = _items(args.model, mu, args.case)
     total = len(items)
     if args.limit is not None:
         items = items[: args.limit]
@@ -96,13 +116,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    from .sequences import count_sequences
+
     mu = parse_partition(args.mu)
     case = args.case
     counts = {
-        "sequences": len(enumerate_sequences(mu, case)),
-        "tableaux": len(enumerate_tableaux(mu, case)),
-        "paths": len(enumerate_path_families(mu, case)),
-        "tilings": len(enumerate_tilings(build_domain(mu, case))),
+        "sequences": len(_items("sequence", mu, case)),
+        "tableaux": len(_items("tableau", mu, case)),
+        "paths": len(_items("paths", mu, case)),
+        "tilings": len(_items("tiling", mu, case)),
         "determinant": count_sequences(mu, case),
     }
     agree = len(set(counts.values())) == 1
@@ -111,12 +133,16 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     records = run_suite(args.suite, args.kmax)
     print(json.dumps(records, indent=2))
     return 0 if all(r["pass"] for r in records) else 1
 
 
 def _cmd_render(args) -> int:
+    from .domains import build_domain, enumerate_tilings, render
+
     mu = parse_partition(args.mu)
     domain = build_domain(mu, args.case)
     if args.tiling_index is None:
@@ -155,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream one model's objects as JSON")
     add_mu_case(p)
-    p.add_argument("--model", choices=sorted(_MODELS), required=True)
+    p.add_argument("--model", choices=_MODELS, required=True)
     p.add_argument("--limit", type=int, default=None, help="truncate canonical order")
     p.set_defaults(func=_cmd_enumerate)
 
@@ -164,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_crosscheck)
 
     p = sub.add_parser("verify", help="run an identity suite, print JSON report")
-    p.add_argument("--suite", choices=sorted(SUITES) + ["all"], required=True)
+    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
     p.add_argument(
         "--kmax", type=int, default=None,
         help="top of the sweep; id1 and id2 sweep to max(4s+6, kmax) for each s",

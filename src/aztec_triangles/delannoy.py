@@ -1,4 +1,5 @@
-"""Delannoy numbers D(i,j), their H variant, and the half-integer expansion.
+"""Delannoy numbers D(i,j), their H variant, the matrices built from them,
+and the half-integer expansion.
 
 ``delannoy_D`` is the binomial-sum form, which extends D to any rational
 second argument (it is a polynomial in j of degree i).  ``delannoy_H`` is
@@ -11,6 +12,11 @@ An integer second argument keeps D and H in ``int`` arithmetic throughout
 (the ``int`` path of ``exact.binomial``); only a non-integral rational j
 sums in ``Fraction``.  Every count the CLI prints takes the ``int`` path.
 
+``lgv_matrix`` and ``d_submatrix`` assemble the LGV and staircase
+matrices from these entries.  They live here, not in ``paths``, so that a
+determinant count loads neither the path, tableau and chain models nor
+``dataclasses``; ``paths`` still binds both names.
+
 The brute-force counters walk the step set directly and serve as
 independent oracles for the closed forms.
 """
@@ -19,7 +25,8 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import IdentityError
-from .exact import Exact, as_fraction, binomial, normalize
+from .exact import Exact, Matrix, as_fraction, binomial, normalize
+from .partitions import Partition, check_partition, pad
 
 
 def delannoy_D(i: int, j: Exact) -> Exact:
@@ -44,6 +51,48 @@ def _delannoy_D(i: int, j: Exact) -> Exact:
 def delannoy_H(i: int, j: int) -> int:
     """H(i,j) = D(i,j) + D(i-1,j)."""
     return delannoy_D(i, j) + delannoy_D(i - 1, j)
+
+
+def lgv_matrix(mu: Partition, case: int) -> Matrix:
+    """n x n matrix of single-path counts whose determinant counts the
+    vertex-disjoint families (and hence the chains)."""
+    if case not in (1, 2):
+        raise ValueError(f"case must be 1 or 2, got {case}")
+    mu = pad(check_partition(tuple(mu)), len(mu))
+    n = len(mu)
+    count = delannoy_D if case == 1 else delannoy_H
+    return Matrix(
+        [[count(mu[a] - a + b, n - b - 1) for b in range(n)] for a in range(n)]
+    )
+
+
+def d_submatrix(k: int, n: Exact, case: int) -> Matrix:
+    """The k x k matrix governing staircase shapes mu = (k,...,1,0^(n-k)).
+
+    Case 1 uses entries D(k-2i+j, n-j-1) for 0 <= i,j <= k-1 with the
+    polynomial extension of D, so n may be any rational.  Case 2 uses
+    H(2j-i, i+n-k-1) for 1 <= i,j <= k and needs integer n.
+    """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    if case == 1:
+        if isinstance(n, Fraction) and n.denominator == 1:
+            n = int(n)
+        return Matrix(
+            [[delannoy_D(k - 2 * i + j, n - j - 1) for j in range(k)] for i in range(k)]
+        )
+    if case == 2:
+        if isinstance(n, Fraction):
+            if n.denominator != 1:
+                raise ValueError("the H matrix is defined for integer n only")
+            n = int(n)
+        return Matrix(
+            [
+                [delannoy_H(2 * j - i, i + n - k - 1) for j in range(1, k + 1)]
+                for i in range(1, k + 1)
+            ]
+        )
+    raise ValueError(f"case must be 1 or 2, got {case}")
 
 
 def count_D_paths_bruteforce(i: int, j: int) -> int:

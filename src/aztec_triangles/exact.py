@@ -1,5 +1,5 @@
-"""Exact integer/rational arithmetic: extended binomials, shifted factorials,
-double factorials, and fraction-free determinants.
+"""Exact integer/rational arithmetic: extended binomials, shifted factorials
+and fraction-free determinants.
 
 Every value is an ``int`` or a ``fractions.Fraction``; nothing here ever
 rounds.  Results with denominator 1 are normalized back to ``int`` so that
@@ -58,17 +58,6 @@ def pochhammer(x: Exact, i: int) -> Exact:
     for a in range(i):
         prod *= x + a
     return normalize(prod)
-
-
-def double_factorial(i: int) -> int:
-    """Product of the integers in [1, i] with the parity of i; 0!! = 1."""
-    if i < 0:
-        raise ValueError(f"double factorial needs i >= 0, got {i}")
-    prod = 1
-    while i > 1:
-        prod *= i
-        i -= 2
-    return prod
 
 
 class Matrix:

@@ -7,14 +7,17 @@ path counts, which is where the D and H matrices come from.
 
 Steps are recorded as a word over N (north), D (northeast diagonal) and
 E (east).
+
+The determinant side, ``lgv_matrix`` and ``d_submatrix``, is built in
+``delannoy`` beside the entries, so that counting by determinant never
+imports this module or the tableaux it draws on; the two names are bound
+here as well.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .delannoy import delannoy_D, delannoy_H
+from .delannoy import d_submatrix, lgv_matrix  # noqa: F401
 from .errors import SearchBudget
-from .exact import Exact, Matrix
 from .partitions import Partition, check_partition, pad
 from .tableaux import Entry, SuperSymplecticTableau, validate_tableau
 
@@ -210,59 +213,3 @@ def enumerate_path_families(
 
     assemble([], set(), 1)
     return families
-
-
-def lgv_matrix(mu: Partition, case: int) -> Matrix:
-    """n x n matrix of single-path counts whose determinant counts the
-    vertex-disjoint families (and hence the chains)."""
-    if case not in (1, 2):
-        raise ValueError(f"case must be 1 or 2, got {case}")
-    mu = pad(check_partition(tuple(mu)), len(mu))
-    n = len(mu)
-    count = delannoy_D if case == 1 else delannoy_H
-    return Matrix(
-        [[count(mu[a] - a + b, n - b - 1) for b in range(n)] for a in range(n)]
-    )
-
-
-def d_submatrix(k: int, n: Exact, case: int) -> Matrix:
-    """The k x k matrix governing staircase shapes mu = (k,...,1,0^(n-k)).
-
-    Case 1 uses entries D(k-2i+j, n-j-1) for 0 <= i,j <= k-1 with the
-    polynomial extension of D, so n may be any rational.  Case 2 uses
-    H(2j-i, i+n-k-1) for 1 <= i,j <= k and needs integer n.
-    """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    if case == 1:
-        if isinstance(n, Fraction) and n.denominator == 1:
-            n = int(n)
-        return Matrix(
-            [[delannoy_D(k - 2 * i + j, n - j - 1) for j in range(k)] for i in range(k)]
-        )
-    if case == 2:
-        if isinstance(n, Fraction):
-            if n.denominator != 1:
-                raise ValueError("the H matrix is defined for integer n only")
-            n = int(n)
-        return Matrix(
-            [
-                [delannoy_H(2 * j - i, i + n - k - 1) for j in range(1, k + 1)]
-                for i in range(1, k + 1)
-            ]
-        )
-    raise ValueError(f"case must be 1 or 2, got {case}")
-
-
-def d1_bottom_right_view(k: int, n: Exact) -> Matrix:
-    """The Case 1 matrix in its other indexing, D(2j-i, i+n-k-1) for
-    1 <= i,j <= k; an anti-transpose of d_submatrix(k, n, 1) with the same
-    determinant."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    return Matrix(
-        [
-            [delannoy_D(2 * j - i, i + n - k - 1) for j in range(1, k + 1)]
-            for i in range(1, k + 1)
-        ]
-    )

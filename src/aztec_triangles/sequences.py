@@ -162,9 +162,9 @@ def enumerate_sequences(
 
 def count_sequences(mu: Partition, case: int) -> int:
     """Chain count via the non-intersecting-path determinant."""
-    # Deferred import: paths depends on tableaux, which enumerates through
-    # this module.
-    from .paths import lgv_matrix
+    # Imported here so that enumerating chains, tableaux or tilings does not
+    # load the exact arithmetic only the determinant needs.
+    from .delannoy import lgv_matrix
 
     return lgv_matrix(mu, case).determinant()
 

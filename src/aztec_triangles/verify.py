@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from .delannoy import d_submatrix, lgv_matrix
 from .exact import Exact, binomial, normalize, pochhammer
 from .formulas import product_main
-from .paths import d_submatrix
 
 _HALF = Fraction(1, 2)
 
@@ -601,12 +601,10 @@ def suite_degree(kmax: int = 4) -> list[dict]:
 
 
 def suite_case12(kmax: int = 4) -> list[dict]:
-    from .sequences import count_sequences
-
     out = []
     for k in range(1, kmax + 1):
-        case1 = count_sequences(tuple(range(k + 1, 0, -1)), 1)
-        case2 = count_sequences(tuple(range(k, -1, -1)), 2)
+        case1 = lgv_matrix(tuple(range(k + 1, 0, -1)), 1).determinant()
+        case2 = lgv_matrix(tuple(range(k, -1, -1)), 2).determinant()
         out.append(_record("case12", {"k": k}, case1 == case2))
     return out
 

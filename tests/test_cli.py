@@ -1,9 +1,16 @@
+import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import aztec_triangles
+from aztec_triangles import cli, verify
 from aztec_triangles.cli import main, parse_partition
 
 
@@ -237,3 +244,85 @@ def test_too_deep_search_exit_3(capsys, argv):
     assert code == 3 and out == ""
     assert err.startswith("error: search too deep") and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+# sha256 of each help text at 80 columns (Python 3.11 argparse); the verify
+# one lists the suite names.
+HELP_DIGESTS = {
+    (): "ac524706fa6fd1e772dcdd4e4794987571ea70b80a13669fd49a64b454a231d2",
+    ("count",): "ea8532f33aa0e33373405f2f3c7f855cdc1780ec22b9124efdece26dba7c166c",
+    ("enumerate",): "7dde9548872fcbd569c2afa5b9e7ac6b0b78af94a79f2f21b05e89fcb1c4055f",
+    ("crosscheck",): "7db10175a95b8f1e9522798179fdd5b9692037fc222570565673cc9d5bcc6048",
+    ("verify",): "f6d96d5694f4e8073a5b74668d8ec409bef79bf6b16451209c162dfbe3c430da",
+    ("render",): "b3d3e940ea7894c3b5920b7a3b8ad22ef980452cb9a61c46757090c46aec4800",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(HELP_DIGESTS))
+def test_help_text_pinned(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run_cli(capsys, *verb, "--help")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[verb]
+
+
+def test_suite_names_match_verify():
+    assert tuple(sorted(verify.SUITES)) == cli.SUITE_NAMES
+
+
+SRC = Path(aztec_triangles.__file__).resolve().parents[1]
+
+
+def loaded_modules(code, *argv):
+    """The package's submodules in sys.modules after a fresh interpreter
+    runs ``code``, which must import ``sys``."""
+    code += "\nprint(sorted(m for m in sys.modules if m.startswith('aztec_triangles.')))"
+    child = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return set(ast.literal_eval(child.stdout.splitlines()[-1]))
+
+
+CLI_MAIN = """
+import contextlib, io, sys
+from aztec_triangles import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+"""
+MODELS = ("paths", "tableaux", "sequences", "domains")
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (("--help",), MODELS + ("verify",)),
+        (
+            ("count", "--mu", "3,2,1", "--case", "1", "--method", "product"),
+            MODELS + ("verify",),
+        ),
+        (("count", "--mu", "3,2,1", "--case", "1", "--method", "det"), MODELS),
+        (("verify", "--suite", "delannoy", "--kmax", "2"), MODELS),
+        (("verify", "--suite", "case12", "--kmax", "2"), MODELS),
+    ],
+    ids=["help", "count-product", "count-det", "verify-delannoy", "verify-case12"],
+)
+def test_verb_imports_only_what_it_runs(argv, absent):
+    loaded = loaded_modules(CLI_MAIN, *argv)
+    assert "aztec_triangles.cli" in loaded
+    assert not {f"aztec_triangles.{name}" for name in absent} & loaded, loaded
+
+
+def test_package_root_is_lazy_and_complete():
+    assert loaded_modules("import sys, aztec_triangles") == set()
+    assert len(aztec_triangles.__all__) == 60
+    namespace = {}
+    exec("from aztec_triangles import *", namespace)
+    for name in aztec_triangles.__all__:
+        assert namespace[name] is getattr(aztec_triangles, name)
+        assert name in dir(aztec_triangles)
+    with pytest.raises(AttributeError):
+        aztec_triangles.double_factorial

@@ -11,7 +11,6 @@ from aztec_triangles.exact import (
     Matrix,
     as_fraction,
     binomial,
-    double_factorial,
     normalize,
     pochhammer,
 )
@@ -76,12 +75,12 @@ def test_pochhammer_rejects_negative_index():
 
 
 def test_double_factorial():
-    assert double_factorial(0) == 1
-    assert double_factorial(1) == 1
-    assert double_factorial(5) == 15
-    assert double_factorial(6) == 48
-    with pytest.raises(ValueError):
-        double_factorial(-1)
+    # i!! is the product of the integers in [1, i] with the parity of i
+    assert [prod(range(i, 0, -2)) for i in (0, 1, 5, 6)] == [1, 1, 15, 48]
+    # (2i-1)!! = 2^i (1/2)_i and (2i)!! = 2^i (1)_i
+    for i in range(12):
+        assert pochhammer(Fraction(1, 2), i) * 2**i == prod(range(2 * i - 1, 0, -2))
+        assert pochhammer(1, i) * 2**i == prod(range(2 * i, 0, -2))
 
 
 def test_normalize():

@@ -10,7 +10,6 @@ from aztec_triangles.exact import Matrix
 from aztec_triangles.paths import (
     LatticePath,
     PathFamily,
-    d1_bottom_right_view,
     d_submatrix,
     enumerate_path_families,
     is_vertex_disjoint,
@@ -119,12 +118,21 @@ def test_bordered_matrix_reduces_to_bottom_right_block():
 
 
 def test_two_indexings_same_determinant():
+    # the Case 1 matrix in its other indexing, D(2j-i, i+n-k-1) for
+    # 1 <= i,j <= k, is the anti-transpose of d_submatrix(k, n, 1)
     for k in range(5):
         for n in [-2, 0, 1, 3, HALF, Fraction(-5, 2)]:
-            assert (
-                d_submatrix(k, n, 1).determinant()
-                == d1_bottom_right_view(k, n).determinant()
+            m = d_submatrix(k, n, 1)
+            other = Matrix(
+                [
+                    [delannoy_D(2 * j - i, i + n - k - 1) for j in range(1, k + 1)]
+                    for i in range(1, k + 1)
+                ]
             )
+            assert other == Matrix(
+                [[m[k - 1 - b, k - 1 - a] for b in range(k)] for a in range(k)]
+            )
+            assert m.determinant() == other.determinant()
 
 
 def test_entry_conventions():
