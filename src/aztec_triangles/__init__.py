@@ -69,9 +69,9 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "KernelReport", "check_degree_and_leading", "check_detprop", "check_gamma6",
-            "check_id1", "check_id2", "check_main", "check_step1", "check_step2",
-            "check_step3", "check_step4", "run_suite",
+            "check_degree_and_leading", "check_detprop", "check_gamma6", "check_id1",
+            "check_id2", "check_main", "check_step1", "check_step2", "check_step3",
+            "check_step4", "run_suite",
         ),
         "verify",
     ),

@@ -228,11 +228,13 @@ def sequence_to_tiling(seq: PartitionSequence) -> Tiling:
 # Rendering
 #
 # Cartesian placement: cell (d, p) sits at x = p, y = (ell - 1) - d + p, so
-# the last diagonal starts at height 0.  ASCII glyphs:
-#   domain:  '.' cell on an even diagonal, ':' on an odd one,
-#            '~' final-diagonal square not in the domain
-#   tiling:  'O'/'o' start/second cell of an even domino (holes),
-#            'X'/'x' start/second cell of an odd domino (particles)
+# the last diagonal starts at height 0.  A domain is drawn as a tiling with
+# no dominoes.  ASCII glyphs:
+#   cells:     '.' cell on an even diagonal, ':' on an odd one,
+#              '~' final-diagonal square not in the domain
+#   dominoes:  'O'/'o' start/second cell of an even domino (holes),
+#              'X'/'x' start/second cell of an odd domino (particles),
+#              drawn over the glyphs of the cells they cover
 # ---------------------------------------------------------------------------
 
 _SVG_UNIT = 24
@@ -253,10 +255,15 @@ def _ghost_cells(domain: Domain):
             yield ell - 1, p
 
 
-def _ascii_canvas(domain: Domain, glyphs: dict) -> str:
-    spots = {}
-    for (d, p), ch in glyphs.items():
-        spots[_cell_xy(domain, d, p)] = ch
+def _ascii(domain: Domain, dominoes) -> str:
+    glyphs = {(d, p): "." if d % 2 == 0 else ":" for d, p in domain.cells}
+    for domino in dominoes:
+        start, second = domino.cells()
+        glyphs[start] = "O" if domino.even else "X"
+        glyphs[second] = "o" if domino.even else "x"
+    for cell in _ghost_cells(domain):
+        glyphs[cell] = "~"
+    spots = {_cell_xy(domain, d, p): ch for (d, p), ch in glyphs.items()}
     if not spots:
         return ""
     xs = [x for x, _ in spots]
@@ -268,25 +275,7 @@ def _ascii_canvas(domain: Domain, glyphs: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _domain_ascii(domain: Domain) -> str:
-    glyphs = {(d, p): "." if d % 2 == 0 else ":" for d, p in domain.cells}
-    for d, p in _ghost_cells(domain):
-        glyphs[(d, p)] = "~"
-    return _ascii_canvas(domain, glyphs)
-
-
-def _tiling_ascii(tiling: Tiling) -> str:
-    glyphs = {}
-    for domino in tiling.dominoes:
-        start, second = domino.cells()
-        glyphs[start] = "O" if domino.even else "X"
-        glyphs[second] = "o" if domino.even else "x"
-    for d, p in _ghost_cells(tiling.domain):
-        glyphs[(d, p)] = "~"
-    return _ascii_canvas(tiling.domain, glyphs)
-
-
-def _svg_root(domain: Domain):
+def _svg(domain: Domain, dominoes) -> str:
     # ElementTree is imported only where SVG is drawn: every CLI call would
     # pay for importing it at module top.
     import xml.etree.ElementTree as ET
@@ -300,61 +289,32 @@ def _svg_root(domain: Domain):
         width=str((width + 2) * _SVG_UNIT),
         height=str((height + 2) * _SVG_UNIT),
     )
-    return root, height
 
+    def rect(x, y, w, h, fill, stroke, stroke_width, dash=None):
+        # (x, y) is the top-left unit square; w and h count unit squares
+        attrs = {
+            "x": str((x + 1) * _SVG_UNIT),
+            "y": str((height - y) * _SVG_UNIT),
+            "width": str(w * _SVG_UNIT),
+            "height": str(h * _SVG_UNIT),
+            "fill": fill,
+            "stroke": stroke,
+            "stroke-width": stroke_width,
+        }
+        if dash:
+            attrs["stroke-dasharray"] = dash
+        ET.SubElement(root, "rect", attrs)
 
-def _svg_cell_rect(parent, domain, height, d, p, fill, dashed=False):
-    import xml.etree.ElementTree as ET
-    x, y = _cell_xy(domain, d, p)
-    attrs = {
-        "x": str((x + 1) * _SVG_UNIT),
-        "y": str((height - y) * _SVG_UNIT),
-        "width": str(_SVG_UNIT),
-        "height": str(_SVG_UNIT),
-        "fill": fill,
-        "stroke": "#888888",
-        "stroke-width": "1",
-    }
-    if dashed:
-        attrs["stroke-dasharray"] = "4 3"
-    ET.SubElement(parent, "rect", attrs)
-
-
-def _svg_cells(root, domain, height):
     for d, p in domain.sorted_cells():
-        _svg_cell_rect(root, domain, height, d, p, _LIGHT if d % 2 == 0 else _DARK)
+        x, y = _cell_xy(domain, d, p)
+        rect(x, y, 1, 1, _LIGHT if d % 2 == 0 else _DARK, "#888888", "1")
     for d, p in _ghost_cells(domain):
-        _svg_cell_rect(root, domain, height, d, p, "none", dashed=True)
-
-
-def _domain_svg(domain: Domain) -> str:
-    import xml.etree.ElementTree as ET
-    root, height = _svg_root(domain)
-    _svg_cells(root, domain, height)
-    return ET.tostring(root, encoding="unicode") + "\n"
-
-
-def _tiling_svg(tiling: Tiling) -> str:
-    import xml.etree.ElementTree as ET
-    domain = tiling.domain
-    root, height = _svg_root(domain)
-    _svg_cells(root, domain, height)
-    for domino in tiling.dominoes:
-        (d, p), (d2, p2) = domino.cells()
-        x1, y1 = _cell_xy(domain, d, p)
-        x2, y2 = _cell_xy(domain, d2, p2)
-        x, y = min(x1, x2), max(y1, y2)
-        ET.SubElement(
-            root,
-            "rect",
-            x=str((x + 1) * _SVG_UNIT),
-            y=str((height - y) * _SVG_UNIT),
-            width=str((abs(x2 - x1) + 1) * _SVG_UNIT),
-            height=str((abs(y2 - y1) + 1) * _SVG_UNIT),
-            fill="none",
-            stroke="#1f4e9c",
-            **{"stroke-width": "3"},
-        )
+        x, y = _cell_xy(domain, d, p)
+        rect(x, y, 1, 1, "none", "#888888", "1", dash="4 3")
+    for domino in dominoes:
+        (x1, y1), (x2, y2) = (_cell_xy(domain, d, p) for d, p in domino.cells())
+        rect(min(x1, x2), max(y1, y2), abs(x2 - x1) + 1, abs(y2 - y1) + 1,
+             "none", "#1f4e9c", "3")
         for cx, cy in ((x1, y1), (x2, y2)):
             ET.SubElement(
                 root,
@@ -369,9 +329,14 @@ def _tiling_svg(tiling: Tiling) -> str:
 
 
 def render(obj, fmt: str) -> str:
-    """Deterministic ASCII or SVG picture of a Domain or Tiling."""
+    """Deterministic ASCII or SVG picture of a Domain or Tiling; a Domain is
+    drawn as a tiling with no dominoes."""
+    if isinstance(obj, Tiling):
+        domain, dominoes = obj.domain, obj.dominoes
+    else:
+        domain, dominoes = obj, ()
     if fmt == "ascii":
-        return _tiling_ascii(obj) if isinstance(obj, Tiling) else _domain_ascii(obj)
+        return _ascii(domain, dominoes)
     if fmt == "svg":
-        return _tiling_svg(obj) if isinstance(obj, Tiling) else _domain_svg(obj)
+        return _svg(domain, dominoes)
     raise ValueError(f"unknown format {fmt!r}")

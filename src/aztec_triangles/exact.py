@@ -89,12 +89,6 @@ class Matrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
-
     def determinant(self) -> Exact:
         """Exact determinant by fraction-free (Bareiss) elimination.
 

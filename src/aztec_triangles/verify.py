@@ -12,7 +12,6 @@ against the unsigned tail sum, and the worked (k,s,a) = (4,2,1) instance
 confirms that relative sign.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -21,23 +20,6 @@ from .exact import Exact, binomial, normalize, pochhammer
 from .formulas import product_main
 
 _HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    suite: str
-    params: dict
-    residuals: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(r == 0 for r in self.residuals)
-
-    def to_json(self) -> dict:
-        record = {"suite": self.suite, "params": dict(self.params), "pass": self.passed}
-        if not self.passed:
-            record["residual"] = [str(r) for r in self.residuals]
-        return record
 
 
 def _poch_signed(x: Exact, n: int) -> Fraction:
@@ -56,31 +38,51 @@ def _inv_factorial(m: int) -> Fraction:
     return Fraction(1, factorial(m)) if m >= 0 else Fraction(0)
 
 
-def check_step1(k: int, s: int, a: int) -> KernelReport:
+def _record(suite, params, passed, residual=None) -> dict:
+    """One verify record, the schema of every suite:
+    ``{"suite", "params", "pass"[, "residual"]}``.
+
+    ``residual`` is kept only on a failing record.  A kernel step passes a
+    list of strings, one per row or column it combines; ``id1``/``id2`` pass
+    one string, the identity's value.
+    """
+    rec = {"suite": suite, "params": params, "pass": bool(passed)}
+    if residual is not None and not passed:
+        rec["residual"] = residual
+    return rec
+
+
+def _kernel_record(step: str, params: dict, residuals: list) -> dict:
+    """A kernel step passes when every combination it formed is 0."""
+    passed = all(r == 0 for r in residuals)
+    return _record(step, params, passed, [str(r) for r in residuals])
+
+
+def _column_step(step: str, k: int, s: int, a: int, n: Exact, top: int) -> dict:
+    """Each row of D1(k; n) over columns a..a+top, weighted by C(top, j-a)."""
+    m = d_submatrix(k, n, 1)
+    residuals = [
+        sum(binomial(top, j - a) * m[i, j] for j in range(a, a + top + 1))
+        for i in range(k)
+    ]
+    return _kernel_record(step, {"k": k, "s": s, "a": a}, residuals)
+
+
+def check_step1(k: int, s: int, a: int) -> dict:
     """Binomial column combination vanishing at n = s + 1 (k = a mod 2)."""
     if not (0 <= a <= s and k >= 2 * s - a + 2 and (k - a) % 2 == 0):
         raise ValueError(f"illegal step 1 parameters {(k, s, a)}")
-    m = d_submatrix(k, s + 1, 1)
-    residuals = tuple(
-        sum(binomial(2 * s - 2 * a + 1, j - a) * m[i, j] for j in range(a, 2 * s - a + 2))
-        for i in range(k)
-    )
-    return KernelReport("step1", {"k": k, "s": s, "a": a}, residuals)
+    return _column_step("step1", k, s, a, s + 1, 2 * s - 2 * a + 1)
 
 
-def check_step2(k: int, s: int, a: int) -> KernelReport:
+def check_step2(k: int, s: int, a: int) -> dict:
     """Binomial column combination vanishing at n = s + 1/2 (k != a mod 2)."""
     if not (0 <= a <= s and k >= 2 * s - a + 1 and (k - a) % 2 == 1):
         raise ValueError(f"illegal step 2 parameters {(k, s, a)}")
-    m = d_submatrix(k, s + _HALF, 1)
-    residuals = tuple(
-        sum(binomial(2 * s - 2 * a, j - a) * m[i, j] for j in range(a, 2 * s - a + 1))
-        for i in range(k)
-    )
-    return KernelReport("step2", {"k": k, "s": s, "a": a}, residuals)
+    return _column_step("step2", k, s, a, s + _HALF, 2 * s - 2 * a)
 
 
-def check_step3(k: int, s: int, a: int) -> KernelReport:
+def check_step3(k: int, s: int, a: int) -> dict:
     """Alternating row combination minus a power-of-two tail, at n = -k+s+1."""
     if not (0 <= 2 * a <= s and k >= 2 * s - 2 * a + 2):
         raise ValueError(f"illegal step 3 parameters {(k, s, a)}")
@@ -97,17 +99,21 @@ def check_step3(k: int, s: int, a: int) -> KernelReport:
             for i in range(s + 1 - a, k)
         )
         residuals.append(head - tail)
-    return KernelReport("step3", {"k": k, "s": s, "a": a}, tuple(residuals))
+    return _kernel_record("step3", {"k": k, "s": s, "a": a}, residuals)
 
 
-def _c1(s: int, l: int) -> Fraction:
-    head = (
+def _c1_head(s: int, l: int) -> Fraction:
+    """The term of c1(s, l) outside the sum over r; id1's outer factor."""
+    return (
         Fraction((4 * l - 4 * s + 1) * (-1) ** (s - 1))
         * pochhammer(1 - l, s - 1)
         * _poch_signed(_HALF, s)
         * _poch_signed(_HALF, l - s)
         / ((2 * l - 4 * s + 1) * factorial(l) * factorial(s - 1))
     )
+
+
+def _c1(s: int, l: int) -> Fraction:
     tail = Fraction(0)
     for r in range(1, s + 1):
         tail += (
@@ -117,17 +123,21 @@ def _c1(s: int, l: int) -> Fraction:
             * _inv_factorial(l - s - r + 1)
             / factorial(s - r)
         )
-    return -head - (4 * l - 4 * s + 1) * tail
+    return -_c1_head(s, l) - (4 * l - 4 * s + 1) * tail
 
 
-def _c2(s: int, l: int) -> Fraction:
-    head = (
+def _c2_head(s: int, l: int) -> Fraction:
+    """The term of c2(s, l) outside the sum over r; id2's outer factor."""
+    return (
         Fraction((4 * l - 4 * s - 1) * (-1) ** (s - 1))
         * pochhammer(1 - l, s - 1)
         * _poch_signed(_HALF, s + 1)
         * _poch_signed(_HALF, l - s - 1)
         / ((2 * l - 4 * s - 1) * factorial(l) * factorial(s - 1))
     )
+
+
+def _c2(s: int, l: int) -> Fraction:
     tail = Fraction(0)
     for r in range(1, s + 1):
         tail += (
@@ -137,10 +147,10 @@ def _c2(s: int, l: int) -> Fraction:
             * _inv_factorial(l - s - r)
             / factorial(s - r)
         )
-    return head - (4 * l - 4 * s - 1) * tail
+    return _c2_head(s, l) - (4 * l - 4 * s - 1) * tail
 
 
-def check_step4(k: int, s: int, a: int, variant: str) -> KernelReport:
+def check_step4(k: int, s: int, a: int, variant: str) -> dict:
     """Row combinations with the c1/c2 coefficients, vanishing at the
     half-integer roots n = -k+2s-1/2 (odd) and n = -k+2s+1/2 (even)."""
     if variant == "odd":
@@ -157,10 +167,10 @@ def check_step4(k: int, s: int, a: int, variant: str) -> KernelReport:
         raise ValueError(f"variant must be 'odd' or 'even', got {variant!r}")
     m = d_submatrix(k, n, 1)
     weights = [coeff(s - a, i - a) for i in range(a, k)]
-    residuals = tuple(
+    residuals = [
         sum(w * m[i, j] for w, i in zip(weights, range(a, k))) for j in range(k)
-    )
-    return KernelReport(
+    ]
+    return _kernel_record(
         "step4", {"k": k, "s": s, "a": a, "variant": variant}, residuals
     )
 
@@ -171,13 +181,7 @@ def check_id1(k: int, s: int) -> Exact:
         raise ValueError(f"illegal id1 parameters {(k, s)}")
     total = Fraction(0)
     for i in range(k):
-        factor = (
-            Fraction((4 * i - 4 * s + 1) * (-1) ** (s - 1))
-            * pochhammer(1 - i, s - 1)
-            * _poch_signed(_HALF, s)
-            * _poch_signed(_HALF, i - s)
-            / ((2 * i - 4 * s + 1) * factorial(i) * factorial(s - 1))
-        )
+        factor = _c1_head(s, i)
         for l in range(k - 2 * i + 1):
             total += (
                 factor
@@ -223,13 +227,7 @@ def check_id2(k: int, s: int) -> Exact:
         raise ValueError(f"illegal id2 parameters {(k, s)}")
     total = Fraction(0)
     for i in range(k):
-        factor = (
-            Fraction((4 * i - 4 * s - 1) * (-1) ** (s - 1))
-            * pochhammer(1 - i, s - 1)
-            * _poch_signed(_HALF, s + 1)
-            * _poch_signed(_HALF, i - s - 1)
-            / ((2 * i - 4 * s - 1) * factorial(i) * factorial(s - 1))
-        )
+        factor = _c2_head(s, i)
         for l in range(k - 2 * i + 1):
             total += (
                 factor
@@ -375,15 +373,8 @@ def check_gamma6(k: int, s: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Suites: machine-readable parameter sweeps used by the CLI and the
-# acceptance tests.  Each record is {"suite", "params", "pass"[, "residual"]}.
+# acceptance tests; every record is built by ``_record``.
 # ---------------------------------------------------------------------------
-
-
-def _record(suite, params, passed, residual=None):
-    rec = {"suite": suite, "params": params, "pass": bool(passed)}
-    if residual is not None and not passed:
-        rec["residual"] = str(residual)
-    return rec
 
 
 def step_parameter_grid(kmax: int):
@@ -412,14 +403,10 @@ _STEP_CHECKS = {
 
 
 def suite_kernels(kmax: int = 8) -> list[dict]:
-    out = []
-    for step, k, s, a, variant in step_parameter_grid(kmax):
-        if variant is None:
-            report = _STEP_CHECKS[step](k, s, a)
-        else:
-            report = check_step4(k, s, a, variant)
-        out.append(report.to_json())
-    return out
+    return [
+        _STEP_CHECKS[step](k, s, a) if variant is None else check_step4(k, s, a, variant)
+        for step, k, s, a, variant in step_parameter_grid(kmax)
+    ]
 
 
 def suite_delannoy(limit: int = 20) -> list[dict]:
@@ -555,7 +542,7 @@ def suite_id1(kmax: int | None = None) -> list[dict]:
         hi = max(4 * s + 6, kmax) if kmax is not None else 4 * s + 6
         for k in range(4 * s - 1, hi + 1):
             value = check_id1(k, s)
-            out.append(_record("id1", {"k": k, "s": s}, value == 0, value))
+            out.append(_record("id1", {"k": k, "s": s}, value == 0, str(value)))
     for s in range(1, 5):
         for k in range(4 * s - 1, 21):
             ok = check_gamma6(k, s) and gamma6_irreducible_factor(k, s) % 2 == 1
@@ -569,7 +556,7 @@ def suite_id2(kmax: int | None = None) -> list[dict]:
         hi = max(4 * s + 6, kmax) if kmax is not None else 4 * s + 6
         for k in range(4 * s + 1, hi + 1):
             value = check_id2(k, s)
-            out.append(_record("id2", {"k": k, "s": s}, value == 0, value))
+            out.append(_record("id2", {"k": k, "s": s}, value == 0, str(value)))
     return out
 
 

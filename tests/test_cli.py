@@ -171,6 +171,39 @@ def test_render_svg_to_file(tmp_path, capsys):
     assert root.tag.endswith("svg")
 
 
+# sha256 of `render` stdout, keyed by "mu case format [tiling index]"; taken
+# before the domain and tiling drawers became one drawer per format.
+RENDER_DIGESTS = {
+    "3,2,1 1 ascii": "168fa252ebd205fab52e6634786effa799998acf70a8de7176d179430c7cb07d",
+    "3,2,1 1 ascii 0": "ba19b4de23e266e5826748a38399191dfe522affe93cf81edcfdc702afe66c80",
+    "3,2,1 1 svg": "585d47d5dc4f0df74e232d69bce7509429547ff7e75a046704c997ef39e04f3a",
+    "3,2,1 1 svg 0": "0a6e1847298767e1635badcad66854c3bfb53904a39a4ea9cfcb686593b01db3",
+    "3,2,1 2 ascii": "061c017b70a5582e47d408da8bfa6bbdb0af9c7646ab1136e7a3fe341ccd278d",
+    "3,2,1 2 ascii 0": "3d20621159550e329eff94560a6a60baaa1398afd40f3ff881f3dbab3de5080f",
+    "3,2,1 2 svg": "545785230e9648718509bea9c4701884a67319f072cf6a594c7e9e5769ec6db8",
+    "3,2,1 2 svg 0": "2626bb9336493f0b54c34014833ea6294b5912a864ec1c7e0577853d49ac8372",
+    "2,2,0 1 ascii": "b70c55d8f9374068dc30ff925803b8eaffb455fd7b80a94fb3b7ab889dfd732d",
+    "2,2,0 1 ascii 0": "e43bfa5700a4abaecfce024bbd5d46cb7205218597d705edd46ec6b931f0429c",
+    "2,2,0 1 svg": "fe0520bea0b061cd7edcacdc05ccfd08feaa4e1033a9715c989b155a609be95b",
+    "2,2,0 1 svg 0": "4997ba6fdcb5622f71bfa69d8d0dcf22b93125141899631cf115b802ffbe9b7d",
+    "2,2,0 2 ascii": "501f9dd162b2e5bc2f727bb3b7671c06f7aaf1dd3dfed389e3ccab8860125912",
+    "2,2,0 2 ascii 0": "a569587b5ad314ce146f25c7787aa92c8bad9a260700a6822497f48a313d4ba8",
+    "2,2,0 2 svg": "2fb732bc160f9614a8ec0d0125a9ed2f8434ecf292c03f7764c15de01f010a05",
+    "2,2,0 2 svg 0": "29239f7d5f68c968c6e67feb60609dec2812abb39e01387914bc699bfb97b5cb",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(RENDER_DIGESTS))
+def test_render_digest(capsys, spec):
+    mu, case, fmt, *index = spec.split()
+    argv = ["render", "--mu", mu, "--case", case, "--format", fmt]
+    if index:
+        argv += ["--tiling-index", *index]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == RENDER_DIGESTS[spec]
+
+
 def test_render_bad_index(capsys):
     code, _, err = run_cli(
         capsys,
@@ -273,10 +306,16 @@ def test_suite_names_match_verify():
 SRC = Path(aztec_triangles.__file__).resolve().parents[1]
 
 
+WATCHED = ("dataclasses", "inspect")
+
+
 def loaded_modules(code, *argv):
-    """The package's submodules in sys.modules after a fresh interpreter
-    runs ``code``, which must import ``sys``."""
-    code += "\nprint(sorted(m for m in sys.modules if m.startswith('aztec_triangles.')))"
+    """The package's submodules, and those of ``WATCHED``, in sys.modules
+    after a fresh interpreter runs ``code``, which must import ``sys``."""
+    code += (
+        "\nprint(sorted(m for m in sys.modules"
+        f" if m.startswith('aztec_triangles.') or m in {WATCHED!r}))"
+    )
     child = subprocess.run(
         [sys.executable, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -316,9 +355,16 @@ def test_verb_imports_only_what_it_runs(argv, absent):
     assert not {f"aztec_triangles.{name}" for name in absent} & loaded, loaded
 
 
+@pytest.mark.parametrize("suite", ["kernels", "delannoy"])
+def test_verify_loads_no_dataclasses(suite):
+    loaded = loaded_modules(CLI_MAIN, "verify", "--suite", suite, "--kmax", "2")
+    assert "aztec_triangles.verify" in loaded
+    assert not set(WATCHED) & loaded, loaded
+
+
 def test_package_root_is_lazy_and_complete():
     assert loaded_modules("import sys, aztec_triangles") == set()
-    assert len(aztec_triangles.__all__) == 60
+    assert len(aztec_triangles.__all__) == 59
     namespace = {}
     exec("from aztec_triangles import *", namespace)
     for name in aztec_triangles.__all__:

@@ -178,8 +178,6 @@ def test_int_determinant_matches_fraction_and_expansion(rows, shape):
 
 def test_matrix_accessors():
     m = Matrix([[1, 2], [3, 4]])
-    assert m.row(0) == (1, 2)
-    assert m.col(1) == (2, 4)
     assert m[1, 0] == 3
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])

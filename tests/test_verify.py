@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from aztec_triangles import verify
 from aztec_triangles.exact import Matrix
 from aztec_triangles.paths import d_submatrix
 from aztec_triangles.verify import (
@@ -20,6 +21,7 @@ from aztec_triangles.verify import (
     leading_coefficient,
     run_suite,
     step_parameter_grid,
+    suite_id1,
     suite_kernels,
 )
 
@@ -27,30 +29,30 @@ HALF = Fraction(1, 2)
 
 
 def test_step1_examples():
-    report = check_step1(2, 0, 0)
-    assert report.residuals == (0, 0)
-    assert report.passed
-    assert check_step1(4, 1, 0).passed
-    assert check_step1(3, 1, 1).passed
+    assert check_step1(2, 0, 0) == {
+        "suite": "step1", "params": {"k": 2, "s": 0, "a": 0}, "pass": True
+    }
+    assert check_step1(4, 1, 0)["pass"]
+    assert check_step1(3, 1, 1)["pass"]
 
 
 def test_step2_examples():
-    assert check_step2(1, 0, 0).passed
-    assert check_step2(3, 1, 0).passed
-    assert check_step2(2, 1, 1).passed
+    assert check_step2(1, 0, 0)["pass"]
+    assert check_step2(3, 1, 0)["pass"]
+    assert check_step2(2, 1, 1)["pass"]
 
 
 def test_step3_examples():
     assert d_submatrix(2, -1, 1) == Matrix([[5, -25], [1, -5]])
-    assert check_step3(2, 0, 0).passed
-    assert check_step3(4, 1, 0).passed
-    assert check_step3(4, 2, 1).passed
+    assert check_step3(2, 0, 0)["pass"]
+    assert check_step3(4, 1, 0)["pass"]
+    assert check_step3(4, 2, 1)["pass"]
 
 
 def test_step4_examples():
-    assert check_step4(3, 1, 0, "odd").passed
-    assert check_step4(5, 1, 0, "even").passed
-    assert check_step4(7, 2, 1, "odd").passed
+    assert check_step4(3, 1, 0, "odd")["pass"]
+    assert check_step4(5, 1, 0, "even")["pass"]
+    assert check_step4(7, 2, 1, "odd")["pass"]
 
 
 def test_step_preconditions():
@@ -138,9 +140,16 @@ def test_run_suite_json_round_trip():
         run_suite("nonsense")
 
 
-def test_failing_report_carries_residual():
-    report = check_step1(2, 0, 0)
-    fake = type(report)(report.suite, report.params, (Fraction(1, 3), 0))
-    record = fake.to_json()
+def test_failing_report_carries_residual(monkeypatch):
+    # columns 0 and 1 of row 0 sum to 1/3; a kernel step keeps one string
+    # per row, an identity one string for its value
+    monkeypatch.setattr(
+        verify, "d_submatrix", lambda k, n, case: Matrix([[Fraction(4, 3), -1], [1, -1]])
+    )
+    record = check_step1(2, 0, 0)
     assert record["pass"] is False
     assert record["residual"] == ["1/3", "0"]
+    monkeypatch.setattr(verify, "check_id1", lambda k, s: Fraction(-2, 5))
+    assert suite_id1()[0] == {
+        "suite": "id1", "params": {"k": 3, "s": 1}, "pass": False, "residual": "-2/5"
+    }
