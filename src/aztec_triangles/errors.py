@@ -18,9 +18,12 @@ def default_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # not an integer: rejected below with the non-positive ones
     if cap <= 0:
-        raise ValueError(f"{CAP_ENV_VAR} must be positive, got {raw!r}")
+        raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -33,7 +36,7 @@ class SearchBudget:
         self.cap = default_cap() if cap is None else cap
         self.used = 0
 
-    def spend(self, amount: int = 1) -> None:
-        self.used += amount
+    def spend(self) -> None:
+        self.used += 1
         if self.used > self.cap:
             raise CapExceeded(f"{self.name} search exceeded cap of {self.cap} nodes")

@@ -10,6 +10,13 @@ Step 3 note: the first sum carries (-1)^(i-a), not (-1)^i; expanding the
 alternating binomial sum produces a global (-1)^a that has to cancel
 against the unsigned tail sum, and the worked (k,s,a) = (4,2,1) instance
 confirms that relative sign.
+
+Step 4 has two root families, n = -k+2s-1/2+t with t = 0 ("odd": row
+weights c1, identity id1) and t = 1 ("even": c2, id2).  One function of t
+serves both; t shifts the Pochhammer arguments and indices, the powers of
+two, the signs and the bounds.  The factored polynomial
+(k-2s+1-t)^2 - (2r-1+t)^2 - l^2 in the double sum equals both expanded ones:
+k^2+2k+4r-4r^2-4s-4ks+4s^2 - l^2 at t = 0 and k^2-4r^2-4ks+4s^2 - l^2 at t = 1.
 """
 
 from fractions import Fraction
@@ -52,210 +59,154 @@ def _record(suite, params, passed, residual=None) -> dict:
     return rec
 
 
-def _kernel_record(step: str, params: dict, residuals: list) -> dict:
-    """A kernel step passes when every combination it formed is 0."""
+# Where each kernel step is legal, as a predicate on (k, s, a); the checks'
+# guards and ``step_parameter_grid`` both read it.
+_LEGAL = {
+    ("step1", None): lambda k, s, a: (
+        0 <= a <= s and k >= 2 * s - a + 2 and (k - a) % 2 == 0
+    ),
+    ("step2", None): lambda k, s, a: (
+        0 <= a <= s and k >= 2 * s - a + 1 and (k - a) % 2 == 1
+    ),
+    ("step3", None): lambda k, s, a: 0 <= 2 * a <= s and k >= 2 * s - 2 * a + 2,
+    ("step4", "odd"): lambda k, s, a: 0 <= a < s and k >= 4 * s - 2 * a - 1,
+    ("step4", "even"): lambda k, s, a: 0 <= a < s and k >= 4 * s - 2 * a + 1,
+}
+
+
+def _d1(k: int, n: Exact):
+    """D1(k; n), with ``d_submatrix`` looked up when called."""
+    return d_submatrix(k, n, 1)
+
+
+def _kernel_step(step: str, variant, k: int, s: int, a: int, d1) -> dict:
+    """Combine the columns (steps 1, 2) or rows (steps 3, 4) of
+    D1(k; n) = d1(k, n) at the step's root n; it passes when every
+    combination is 0."""
+    if not _LEGAL[step, variant](k, s, a):
+        label = f"step {step[-1]}" + (f" ({variant})" if variant else "")
+        raise ValueError(f"illegal {label} parameters {(k, s, a)}")
+    params = {"k": k, "s": s, "a": a}
+    if step == "step1":
+        m, top = d1(k, s + 1), 2 * s - 2 * a + 1
+    elif step == "step2":
+        m, top = d1(k, s + _HALF), 2 * s - 2 * a
+    elif step == "step3":
+        # an alternating head over rows a..s+1-a minus a power-of-two tail
+        # over rows s+1-a..k-1; the two share row s+1-a
+        m, tail = d1(k, -k + s + 1), 2 ** (2 * s + 2 - 4 * a)
+        rows = [
+            ((-1) ** (i - a) * binomial(s + 1 - 2 * a, i - a), i)
+            for i in range(a, s + 2 - a)
+        ]
+        rows += [
+            (-tail * binomial(i - a - 1, s - 2 * a), i) for i in range(s + 1 - a, k)
+        ]
+    else:
+        t = int(variant == "even")
+        m = d1(k, -k + 2 * s - _HALF + t)
+        rows = [(_coeff(s - a, i - a, t), i) for i in range(a, k)]
+        params["variant"] = variant
+    if step in ("step1", "step2"):  # each row over columns a..a+top
+        cols = [(binomial(top, j - a), j) for j in range(a, a + top + 1)]
+        residuals = [sum(w * m[i, j] for w, j in cols) for i in range(k)]
+    else:  # each column over the weighted rows
+        residuals = [sum(w * m[i, j] for w, i in rows) for j in range(k)]
     passed = all(r == 0 for r in residuals)
     return _record(step, params, passed, [str(r) for r in residuals])
 
 
-def _column_step(step: str, k: int, s: int, a: int, n: Exact, top: int) -> dict:
-    """Each row of D1(k; n) over columns a..a+top, weighted by C(top, j-a)."""
-    m = d_submatrix(k, n, 1)
-    residuals = [
-        sum(binomial(top, j - a) * m[i, j] for j in range(a, a + top + 1))
-        for i in range(k)
-    ]
-    return _kernel_record(step, {"k": k, "s": s, "a": a}, residuals)
-
-
 def check_step1(k: int, s: int, a: int) -> dict:
     """Binomial column combination vanishing at n = s + 1 (k = a mod 2)."""
-    if not (0 <= a <= s and k >= 2 * s - a + 2 and (k - a) % 2 == 0):
-        raise ValueError(f"illegal step 1 parameters {(k, s, a)}")
-    return _column_step("step1", k, s, a, s + 1, 2 * s - 2 * a + 1)
+    return _kernel_step("step1", None, k, s, a, _d1)
 
 
 def check_step2(k: int, s: int, a: int) -> dict:
     """Binomial column combination vanishing at n = s + 1/2 (k != a mod 2)."""
-    if not (0 <= a <= s and k >= 2 * s - a + 1 and (k - a) % 2 == 1):
-        raise ValueError(f"illegal step 2 parameters {(k, s, a)}")
-    return _column_step("step2", k, s, a, s + _HALF, 2 * s - 2 * a)
+    return _kernel_step("step2", None, k, s, a, _d1)
 
 
 def check_step3(k: int, s: int, a: int) -> dict:
     """Alternating row combination minus a power-of-two tail, at n = -k+s+1."""
-    if not (0 <= 2 * a <= s and k >= 2 * s - 2 * a + 2):
-        raise ValueError(f"illegal step 3 parameters {(k, s, a)}")
-    m = d_submatrix(k, -k + s + 1, 1)
-    weight = 2 ** (2 * s + 2 - 4 * a)
-    residuals = []
-    for j in range(k):
-        head = sum(
-            (-1) ** (i - a) * binomial(s + 1 - 2 * a, i - a) * m[i, j]
-            for i in range(a, s + 2 - a)
-        )
-        tail = sum(
-            weight * binomial(i - a - 1, s - 2 * a) * m[i, j]
-            for i in range(s + 1 - a, k)
-        )
-        residuals.append(head - tail)
-    return _kernel_record("step3", {"k": k, "s": s, "a": a}, residuals)
+    return _kernel_step("step3", None, k, s, a, _d1)
 
 
-def _c1_head(s: int, l: int) -> Fraction:
-    """The term of c1(s, l) outside the sum over r; id1's outer factor."""
+def _head(s: int, l: int, t: int) -> Fraction:
+    """The term of c1(s, l) (t = 0) or c2(s, l) (t = 1) outside the sum
+    over r; the outer factor of id1 or id2."""
     return (
-        Fraction((4 * l - 4 * s + 1) * (-1) ** (s - 1))
+        Fraction((4 * l - 4 * s + 1 - 2 * t) * (-1) ** (s - 1))
         * pochhammer(1 - l, s - 1)
-        * _poch_signed(_HALF, s)
-        * _poch_signed(_HALF, l - s)
-        / ((2 * l - 4 * s + 1) * factorial(l) * factorial(s - 1))
+        * _poch_signed(_HALF, s + t)
+        * _poch_signed(_HALF, l - s - t)
+        / ((2 * l - 4 * s + 1 - 2 * t) * factorial(l) * factorial(s - 1))
     )
 
 
-def _c1(s: int, l: int) -> Fraction:
+def _coeff(s: int, l: int, t: int) -> Fraction:
+    """Step 4's row weight c1(s, l) (t = 0) or c2(s, l) (t = 1)."""
     tail = Fraction(0)
     for r in range(1, s + 1):
+        x = 2 * r - _HALF + t
         tail += (
-            Fraction(2) ** (4 * r - 3)
-            * _poch_signed(2 * r - _HALF, s - r)
-            * _poch_signed(2 * r - _HALF, l - s - r)
-            * _inv_factorial(l - s - r + 1)
+            Fraction(2) ** (4 * r - 3 + 2 * t)
+            * _poch_signed(x, s - r)
+            * _poch_signed(x, l - s - r - t)
+            * _inv_factorial(l - s - r + 1 - t)
             / factorial(s - r)
         )
-    return -_c1_head(s, l) - (4 * l - 4 * s + 1) * tail
-
-
-def _c2_head(s: int, l: int) -> Fraction:
-    """The term of c2(s, l) outside the sum over r; id2's outer factor."""
-    return (
-        Fraction((4 * l - 4 * s - 1) * (-1) ** (s - 1))
-        * pochhammer(1 - l, s - 1)
-        * _poch_signed(_HALF, s + 1)
-        * _poch_signed(_HALF, l - s - 1)
-        / ((2 * l - 4 * s - 1) * factorial(l) * factorial(s - 1))
-    )
-
-
-def _c2(s: int, l: int) -> Fraction:
-    tail = Fraction(0)
-    for r in range(1, s + 1):
-        tail += (
-            Fraction(2) ** (4 * r - 1)
-            * _poch_signed(2 * r + _HALF, s - r)
-            * _poch_signed(2 * r + _HALF, l - s - r - 1)
-            * _inv_factorial(l - s - r)
-            / factorial(s - r)
-        )
-    return _c2_head(s, l) - (4 * l - 4 * s - 1) * tail
+    return (-1) ** (1 - t) * _head(s, l, t) - (4 * l - 4 * s + 1 - 2 * t) * tail
 
 
 def check_step4(k: int, s: int, a: int, variant: str) -> dict:
     """Row combinations with the c1/c2 coefficients, vanishing at the
     half-integer roots n = -k+2s-1/2 (odd) and n = -k+2s+1/2 (even)."""
-    if variant == "odd":
-        if not (0 <= a < s and k >= 4 * s - 2 * a - 1):
-            raise ValueError(f"illegal step 4 (odd) parameters {(k, s, a)}")
-        n = -k + 2 * s - _HALF
-        coeff = _c1
-    elif variant == "even":
-        if not (0 <= a < s and k >= 4 * s - 2 * a + 1):
-            raise ValueError(f"illegal step 4 (even) parameters {(k, s, a)}")
-        n = -k + 2 * s + _HALF
-        coeff = _c2
-    else:
+    if variant not in ("odd", "even"):
         raise ValueError(f"variant must be 'odd' or 'even', got {variant!r}")
-    m = d_submatrix(k, n, 1)
-    weights = [coeff(s - a, i - a) for i in range(a, k)]
-    residuals = [
-        sum(w * m[i, j] for w, i in zip(weights, range(a, k))) for j in range(k)
-    ]
-    return _kernel_record(
-        "step4", {"k": k, "s": s, "a": a, "variant": variant}, residuals
-    )
+    return _kernel_step("step4", variant, k, s, a, _d1)
+
+
+def _double_sum(k: int, s: int, t: int) -> Exact:
+    """id1 (t = 0) or id2 (t = 1)."""
+    if not (s >= 1 and k >= 4 * s - 1 + 2 * t):
+        raise ValueError(f"illegal id{1 + t} parameters {(k, s)}")
+    total = Fraction(0)
+    x = -k + 2 * s - Fraction(3, 2) + t
+    for i in range(k):
+        factor = _head(s, i, t)
+        for l in range(k - 2 * i + 1):
+            total += factor * binomial(k - 2 * i, l) * binomial(x, l) * 2**l
+    for r in range(1, s + 1):
+        front = (
+            Fraction((-1) ** (k - t))
+            * Fraction(2) ** (4 * r - 3 + 2 * t)
+            * _poch_signed(2 * r - _HALF + t, s - r)
+            / factorial(s - r)
+        )
+        # l runs to p; the terms carry (p-1)!/(p-l)! and (q-1)!/(q-l)!
+        p, q = k - 2 * r - 2 * s + 2 - 2 * t, k + 2 * r - 2 * s
+        for l in range(p + 1):
+            total += (
+                front
+                * Fraction(2) ** (p + 1 - l)
+                * factorial(p - 1)
+                * factorial(q - 1)
+                / (factorial(l) ** 2 * factorial(p - l) * factorial(q - l))
+                * ((k - 2 * s + 1 - t) ** 2 - (2 * r - 1 + t) ** 2 - l**2)
+            )
+    return normalize(total)
 
 
 def check_id1(k: int, s: int) -> Exact:
-    """First double-sum identity; must evaluate to exactly 0."""
-    if not (s >= 1 and k >= 4 * s - 1):
-        raise ValueError(f"illegal id1 parameters {(k, s)}")
-    total = Fraction(0)
-    for i in range(k):
-        factor = _c1_head(s, i)
-        for l in range(k - 2 * i + 1):
-            total += (
-                factor
-                * binomial(k - 2 * i, l)
-                * binomial(-k + 2 * s - Fraction(3, 2), l)
-                * 2**l
-            )
-    for r in range(1, s + 1):
-        front = (
-            Fraction((-1) ** k)
-            * Fraction(2) ** (4 * r - 3)
-            * _poch_signed(2 * r - _HALF, s - r)
-            / factorial(s - r)
-        )
-        for l in range(k - 2 * r - 2 * s + 3):
-            total += (
-                front
-                * Fraction(2) ** (k - 2 * r - 2 * s + 3 - l)
-                * factorial(k - 2 * r - 2 * s + 1)
-                * factorial(k + 2 * r - 2 * s - 1)
-                / (
-                    factorial(l) ** 2
-                    * factorial(k - 2 * r - 2 * s + 2 - l)
-                    * factorial(k + 2 * r - 2 * s - l)
-                )
-                * (
-                    -(l**2)
-                    + 2 * k
-                    + k**2
-                    + 4 * r
-                    - 4 * r**2
-                    - 4 * s
-                    - 4 * k * s
-                    + 4 * s**2
-                )
-            )
-    return normalize(total)
+    """The double-sum identity behind step 4's odd variant; must evaluate
+    to exactly 0."""
+    return _double_sum(k, s, 0)
 
 
 def check_id2(k: int, s: int) -> Exact:
-    """Second double-sum identity; must evaluate to exactly 0."""
-    if not (s >= 1 and k >= 4 * s + 1):
-        raise ValueError(f"illegal id2 parameters {(k, s)}")
-    total = Fraction(0)
-    for i in range(k):
-        factor = _c2_head(s, i)
-        for l in range(k - 2 * i + 1):
-            total += (
-                factor
-                * binomial(k - 2 * i, l)
-                * binomial(-k + 2 * s - _HALF, l)
-                * 2**l
-            )
-    for r in range(1, s + 1):
-        front = (
-            Fraction((-1) ** (k - 1))
-            * Fraction(2) ** (4 * r - 1)
-            * _poch_signed(2 * r + _HALF, s - r)
-            / factorial(s - r)
-        )
-        for l in range(k - 2 * r - 2 * s + 1):
-            total += (
-                front
-                * Fraction(2) ** (k - 2 * r - 2 * s + 1 - l)
-                * factorial(k - 2 * r - 2 * s - 1)
-                * factorial(k + 2 * r - 2 * s - 1)
-                / (
-                    factorial(l) ** 2
-                    * factorial(k - 2 * r - 2 * s - l)
-                    * factorial(k + 2 * r - 2 * s - l)
-                )
-                * (-(l**2) + k**2 - 4 * r**2 - 4 * k * s + 4 * s**2)
-            )
-    return normalize(total)
+    """The double-sum identity behind step 4's even variant; must evaluate
+    to exactly 0."""
+    return _double_sum(k, s, 1)
 
 
 def check_detprop(k: int, n: int) -> bool:
@@ -378,35 +329,33 @@ def check_gamma6(k: int, s: int) -> bool:
 
 
 def step_parameter_grid(kmax: int):
-    """All legal (step, k, s, a[, variant]) with k <= kmax."""
+    """All legal (step, k, s, a, variant) with k <= kmax; variant is None
+    except at step 4."""
     for k in range(0, kmax + 1):
         for s in range(0, k + 1):
             for a in range(0, s + 1):
-                if k >= 2 * s - a + 2 and (k - a) % 2 == 0:
-                    yield ("step1", k, s, a, None)
-                if k >= 2 * s - a + 1 and (k - a) % 2 == 1:
-                    yield ("step2", k, s, a, None)
-                if 2 * a <= s and k >= 2 * s - 2 * a + 2:
-                    yield ("step3", k, s, a, None)
-                if a < s and k >= 4 * s - 2 * a - 1:
-                    yield ("step4", k, s, a, "odd")
-                if a < s and k >= 4 * s - 2 * a + 1:
-                    yield ("step4", k, s, a, "even")
-
-
-_STEP_CHECKS = {
-    "step1": check_step1,
-    "step2": check_step2,
-    "step3": check_step3,
-    "step4": check_step4,
-}
+                for (step, variant), legal in _LEGAL.items():
+                    if legal(k, s, a):
+                        yield (step, k, s, a, variant)
 
 
 def suite_kernels(kmax: int = 8) -> list[dict]:
-    return [
-        _STEP_CHECKS[step](k, s, a) if variant is None else check_step4(k, s, a, variant)
-        for step, k, s, a, variant in step_parameter_grid(kmax)
-    ]
+    # The steps at one (k, s) share their roots n, and no other (k, s) has
+    # those roots, so each D1(k; n) is built once and kept for that (k, s).
+    matrices = {}
+
+    def d1(k, n):
+        if n not in matrices:
+            matrices[n] = _d1(k, n)
+        return matrices[n]
+
+    records, at = [], None
+    for step, k, s, a, variant in step_parameter_grid(kmax):
+        if (k, s) != at:
+            at = (k, s)
+            matrices.clear()
+        records.append(_kernel_step(step, variant, k, s, a, d1))
+    return records
 
 
 def suite_delannoy(limit: int = 20) -> list[dict]:
@@ -536,13 +485,20 @@ def suite_delannoy(limit: int = 20) -> list[dict]:
     return out
 
 
-def suite_id1(kmax: int | None = None) -> list[dict]:
+def _id_sweep(t: int, kmax: int | None) -> list[dict]:
+    """id1 (t = 0) or id2 (t = 1) over s = 1..3, k = 4s-1+2t..max(4s+6, kmax)."""
+    check, name = (check_id2, "id2") if t else (check_id1, "id1")
     out = []
     for s in range(1, 4):
         hi = max(4 * s + 6, kmax) if kmax is not None else 4 * s + 6
-        for k in range(4 * s - 1, hi + 1):
-            value = check_id1(k, s)
-            out.append(_record("id1", {"k": k, "s": s}, value == 0, str(value)))
+        for k in range(4 * s - 1 + 2 * t, hi + 1):
+            value = check(k, s)
+            out.append(_record(name, {"k": k, "s": s}, value == 0, str(value)))
+    return out
+
+
+def suite_id1(kmax: int | None = None) -> list[dict]:
+    out = _id_sweep(0, kmax)
     for s in range(1, 5):
         for k in range(4 * s - 1, 21):
             ok = check_gamma6(k, s) and gamma6_irreducible_factor(k, s) % 2 == 1
@@ -551,13 +507,7 @@ def suite_id1(kmax: int | None = None) -> list[dict]:
 
 
 def suite_id2(kmax: int | None = None) -> list[dict]:
-    out = []
-    for s in range(1, 4):
-        hi = max(4 * s + 6, kmax) if kmax is not None else 4 * s + 6
-        for k in range(4 * s + 1, hi + 1):
-            value = check_id2(k, s)
-            out.append(_record("id2", {"k": k, "s": s}, value == 0, str(value)))
-    return out
+    return _id_sweep(1, kmax)
 
 
 def suite_detprop(kmax: int = 6) -> list[dict]:

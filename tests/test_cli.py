@@ -146,6 +146,33 @@ def test_verify_exit_codes(capsys):
     assert code == 0
 
 
+# sha256 of the `verify --suite SUITE [--kmax KMAX]` stdout: every suite at
+# its default sweep, and the larger kernels, id1 and id2 sweeps
+VERIFY_DIGESTS = {
+    ("delannoy", None): "bd6f866049660458e530a86ef811429166e32a2ce0025e31184cdd331c8e52b3",
+    ("kernels", None): "c4d977f0e2760ddb8b7a5f91ad84e2cdd3ed93f9d928dbbf6df3abc9aaebf21e",
+    ("id1", None): "772e7490e679c25f4372926a2cfb2334e3b646969312ce94fc94348fe30b883d",
+    ("id2", None): "77a9fb7d667846c34eba58d6a1ab11d6b2d21966ed7e97ffaa2a278867667dac",
+    ("detprop", None): "e459308b71575cf816d2bf9654d7fbe677ab40a3c2aae41ef9327752b0f5ab27",
+    ("main", None): "40efc9aa6ed7a9d8dd98e04a54180165590e03fa805309ad2f11fae134ed41d6",
+    ("degree", None): "2e6625d8a350c2a20b1454a951d21128aa8e5a9e9b0039994d2eeffb55398942",
+    ("case12", None): "54aef4f0ba4ebd1d28748c07a50b4b0cbe043106f497ece1c4476206057e305c",
+    ("kernels", 12): "c91d7ca75624c5c93a1dbe76d41366c5745d675e4c0557018276f0d27944202e",
+    ("id1", 20): "b17884e49fcfb9e8f015578a79f5cc5b0551d936861b051af3e241d225403a9f",
+    ("id2", 20): "c741e54fd6c47301c39e50f26e1d54f7dc7a1ac09ea26fcb356f2b34621d609f",
+}
+
+
+@pytest.mark.parametrize("suite, kmax", list(VERIFY_DIGESTS))
+def test_verify_digest(capsys, suite, kmax):
+    argv = ("verify", "--suite", suite)
+    if kmax is not None:
+        argv += ("--kmax", str(kmax))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite, kmax]
+
+
 def test_render_ascii(capsys):
     code, out, _ = run_cli(
         capsys, "render", "--mu", "1", "--case", "1", "--format", "ascii"
@@ -220,6 +247,16 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
+
+
+@pytest.mark.parametrize("cap", ["abc", "0", "-3"])
+def test_bad_cap_exit_2(capsys, monkeypatch, cap):
+    monkeypatch.setenv("AZTEC_CAP", cap)
+    code, out, err = run_cli(
+        capsys, "count", "--mu", "2,1", "--case", "1", "--method", "brute"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: AZTEC_CAP must be a positive integer, got {cap!r}\n"
 
 
 def test_cap_exceeded_exit_3(capsys, monkeypatch):

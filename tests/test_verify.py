@@ -68,6 +68,29 @@ def test_step_preconditions():
         check_step4(3, 1, 0, "sideways")
 
 
+def test_grid_matches_preconditions():
+    # a point is on the grid exactly when its check accepts it
+    checks = {
+        ("step1", None): check_step1,
+        ("step2", None): check_step2,
+        ("step3", None): check_step3,
+        ("step4", "odd"): lambda k, s, a: check_step4(k, s, a, "odd"),
+        ("step4", "even"): lambda k, s, a: check_step4(k, s, a, "even"),
+    }
+    grid = set(step_parameter_grid(10))
+    for k in range(-1, 11):
+        for s in range(-1, k + 2):
+            for a in range(-2, s + 2):
+                for (step, variant), check in checks.items():
+                    try:
+                        check(k, s, a)
+                        legal = True
+                    except ValueError:
+                        legal = False
+                    point = (step, k, s, a, variant)
+                    assert (point in grid) == legal, point
+
+
 def test_full_legal_grid_small():
     records = suite_kernels(6)
     assert records and all(r["pass"] for r in records)
