@@ -9,11 +9,12 @@ counts print and compare as plain integers.
 when the arguments are all ``int`` (an integer ``x``; a matrix whose every
 entry has type ``int``), which never builds a ``Fraction``.  Any
 ``Fraction`` argument, even one with denominator 1, takes the ``Fraction``
-path.  Both paths return the same value.
+path.  Both paths return the same value.  ``pochhammer`` needs no second
+path: for an ``int`` x its product stays in ``int`` arithmetic.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import floordiv, truediv
 
 Exact = int | Fraction
@@ -51,13 +52,13 @@ def binomial(x: Exact, l: int) -> Exact:
 
 
 def pochhammer(x: Exact, i: int) -> Exact:
-    """Shifted (rising) factorial (x)_i = x(x+1)...(x+i-1), with (x)_0 = 1."""
+    """Shifted (rising) factorial (x)_i = x(x+1)...(x+i-1), with (x)_0 = 1.
+
+    An ``int`` x stays in ``int`` arithmetic and never builds a ``Fraction``.
+    """
     if i < 0:
         raise ValueError(f"pochhammer index must be non-negative, got {i}")
-    prod = Fraction(1)
-    for a in range(i):
-        prod *= x + a
-    return normalize(prod)
+    return normalize(prod(x + a for a in range(i)))
 
 
 class Matrix:

@@ -3,35 +3,30 @@
 ``product_case1``/``product_case2`` evaluate the two chain-count products
 (the Case 2 one is the Case 1 one at ell + 1, i.e. n -> n + 1/2).
 ``product_main`` is the fully factored form valid for arbitrary rational n,
-whose value at integers matches product_case1.  ``df_formula``/``g_formula``
-are the size-n Aztec triangle count in its two guises F(n) and G(n).
+whose value at integers matches product_case1; it is a polynomial in n whose
+top coefficient, ``leading_coefficient(k)``, is defined here once.
+``df_formula``/``g_formula`` are the size-n Aztec triangle count in its two
+guises F(n) and G(n).
 
 All index ranges are written with their explicit floor bounds; the "products
 over all i >= 0" are finite only because later factor ranges are empty.
 """
 
 from fractions import Fraction
+from math import factorial, prod
 
 from .errors import IdentityError
-from .exact import Exact, as_fraction, normalize
-
-
-def _range_product(value, lo: int, hi: int) -> Fraction:
-    """Product of (value + s) for s in [lo, hi]; empty when hi < lo."""
-    prod = Fraction(1)
-    for s in range(lo, hi + 1):
-        prod *= value + s
-    return prod
+from .exact import Exact, as_fraction, normalize, pochhammer
 
 
 def _staircase_product(k: int, ell: Exact) -> Fraction:
     """The chain-count product with 2n replaced by an arbitrary ell."""
     ell = as_fraction(ell)
     num = Fraction(1)
-    for i in range((k - 1) // 2 + 1):
-        num *= _range_product(ell, -2 * k + 4 * i + 1, -k + 2 * i)
-    for i in range((k - 2) // 2 + 1):
-        num *= _range_product(ell, k - 2 * i, 2 * k - 4 * i - 2)
+    for i in range((k - 1) // 2 + 1):  # ell + s for s in [-2k+4i+1, -k+2i]
+        num *= pochhammer(ell - 2 * k + 4 * i + 1, k - 2 * i)
+    for i in range((k - 2) // 2 + 1):  # ell + s for s in [k-2i, 2k-4i-2]
+        num *= pochhammer(ell + k - 2 * i, k - 2 * i - 1)
     den = 1
     for i in range(1, k):
         den *= (2 * i + 1) ** (k - i)
@@ -67,18 +62,21 @@ def _chi(condition: bool) -> int:
     return 1 if condition else 0
 
 
+def leading_coefficient(k: int) -> Exact:
+    """2^(k^2) / prod_(i=1..k) (i)_i, the top coefficient of det D1(k; n)
+    and of ``product_main(k, n)``."""
+    den = prod(pochhammer(i, i) for i in range(1, k + 1))
+    return normalize(Fraction(2 ** (k * k), den))
+
+
 def product_main(k: int, n: Exact) -> Exact:
     """The factored determinant formula, a polynomial in n of degree
-    k(k+1)/2 with leading coefficient 2^(k^2) / prod (i)_i."""
+    k(k+1)/2 with leading coefficient ``leading_coefficient(k)``."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     n = as_fraction(n)
     even, odd = _chi(k % 2 == 0), _chi(k % 2 == 1)
-    value = Fraction(2) ** (k * k)
-    for i in range(1, k + 1):
-        # 1 / (i)_i
-        for a in range(i):
-            value /= i + a
+    value = leading_coefficient(k)
     for s in range(k - 1):
         e = min((s + 1 + even) // 2, (k - s) // 2)
         value *= (n - s - 1) ** e
@@ -101,7 +99,7 @@ def df_formula(n: int) -> int:
         raise ValueError(f"need n >= 1, got {n}")
     value = Fraction(2) ** (n * (n - 1) // 2)
     for i in range(n):
-        value *= _factorial_fraction(4 * i + 2, n + 2 * i + 1)
+        value *= Fraction(factorial(4 * i + 2), factorial(n + 2 * i + 1))
     value = normalize(value)
     other = g_formula(n)
     if value != other:
@@ -109,35 +107,20 @@ def df_formula(n: int) -> int:
     return value
 
 
-def _factorial_fraction(a: int, b: int) -> Fraction:
-    """a! / b! without building both factorials."""
-    if a >= b:
-        prod = 1
-        for m in range(b + 1, a + 1):
-            prod *= m
-        return Fraction(prod)
-    prod = 1
-    for m in range(a + 1, b + 1):
-        prod *= m
-    return Fraction(1, prod)
-
-
 def g_formula(n: int) -> int:
     """The staircase product specialized to mu = (n,...,1), written with the
     shifted index ranges of the F(n) = G(n) comparison."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    num = Fraction(1)
-    for i in range((n - 1) // 2 + 1):
-        for s in range(4 * i + 1, n + 2 * i + 1):
-            num *= s
-    for i in range((n - 2) // 2 + 1):
-        for s in range(3 * n - 2 * i, 4 * n - 4 * i - 1):
-            num *= s
+    num = 1
+    for i in range((n - 1) // 2 + 1):  # s in [4i+1, n+2i]
+        num *= pochhammer(4 * i + 1, n - 2 * i)
+    for i in range((n - 2) // 2 + 1):  # s in [3n-2i, 4n-4i-2]
+        num *= pochhammer(3 * n - 2 * i, n - 2 * i - 1)
     den = 1
     for i in range(1, n):
         den *= (2 * i + 1) ** (n - i)
-    value = normalize(num / den)
+    value = normalize(Fraction(num, den))
     if not isinstance(value, int):
         raise IdentityError(f"G({n}) is not an integer: {value}")
     return value

@@ -13,7 +13,9 @@ from operator import add
 from .errors import SearchBudget
 from .partitions import (
     Partition,
+    is_horizontal_strip,
     is_partition,
+    is_vertical_strip,
     normalize,
     pad,
     part,
@@ -63,24 +65,12 @@ def validate_sequence(seq: PartitionSequence) -> bool:
         return False
     if normalize(chain[-1]) != normalize(seq.mu):
         return False
-    # Pad every entry with zeros to one past the longest.  Then one pass per
-    # step checks the strip and that the new entry is a partition, because
-    # each part must be >= the next and the padding ends in 0; chain[0] is
-    # all zeros, as checked above.
-    width = max(map(len, chain)) + 1
-    prev = (0,) * width
-    for i, lam in enumerate(chain[1:], start=1):
-        if len(normalize(lam)) > (i + 1) // 2:
+    for i, (prev, lam) in enumerate(zip(chain, chain[1:]), start=1):
+        if not is_partition(lam) or len(normalize(lam)) > (i + 1) // 2:
             return False
-        cur = tuple(lam) + (0,) * (width - len(lam))
-        steps = zip(cur, prev, cur[1:])
-        if i % 2 == 1:  # horizontal strip: cur_0 >= prev_0 >= cur_1 >= ...
-            ok = all(a >= b >= c for a, b, c in steps)
-        else:  # vertical strip: each part grows by 0 or 1
-            ok = all(b <= a <= b + 1 and a >= c for a, b, c in steps)
-        if not ok:
+        strip = is_horizontal_strip if i % 2 == 1 else is_vertical_strip
+        if not strip(lam, prev):
             return False
-        prev = cur
     return True
 
 

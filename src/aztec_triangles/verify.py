@@ -24,20 +24,14 @@ from math import factorial
 
 from .delannoy import d_submatrix, lgv_matrix
 from .exact import Exact, binomial, normalize, pochhammer
-from .formulas import product_main
+from .formulas import leading_coefficient, product_main
 
 _HALF = Fraction(1, 2)
 
 
 def _poch_signed(x: Exact, n: int) -> Fraction:
     """Shifted factorial extended to negative index by (x)_(-m) = 1/(x-m)_m."""
-    if n >= 0:
-        return Fraction(pochhammer(x, n))
-    m = -n
-    denom = Fraction(1)
-    for i in range(1, m + 1):
-        denom *= x - i
-    return 1 / denom
+    return Fraction(pochhammer(x, n)) if n >= 0 else 1 / Fraction(pochhammer(x + n, -n))
 
 
 def _inv_factorial(m: int) -> Fraction:
@@ -226,48 +220,22 @@ def check_main(k: int, n: Exact) -> bool:
     return d_submatrix(k, n, 1).determinant() == product_main(k, n)
 
 
-def _interpolate(xs, ys):
-    """Monomial coefficients (ascending) of the Newton interpolant."""
-    m = len(xs)
-    table = [Fraction(y) for y in ys]
-    newton = [table[0]]
-    for level in range(1, m):
-        table = [
-            (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
-            for i in range(m - level)
-        ]
-        newton.append(table[0])
-    coeffs = [Fraction(0)] * m
-    basis = [Fraction(1)]
-    for step, c in enumerate(newton):
-        for power, b in enumerate(basis):
-            coeffs[power] += c * b
-        shifted = [Fraction(0)] + basis
-        basis = [
-            shifted[p] - xs[step] * (basis[p] if p < len(basis) else 0)
-            for p in range(len(shifted))
-        ]
-    return coeffs
-
-
-def leading_coefficient(k: int) -> Exact:
-    """2^(k^2) / prod_(i=1..k) (i)_i, the top coefficient of det D1(k; n)."""
-    value = Fraction(2) ** (k * k)
-    for i in range(1, k + 1):
-        value /= pochhammer(i, i)
-    return normalize(value)
-
-
 def check_degree_and_leading(k: int) -> bool:
-    """Interpolate det D1(k; n) exactly and read off degree and top
-    coefficient."""
+    """det D1(k; n) has degree top = k(k+1)/2 and top coefficient
+    ``leading_coefficient(k)``.
+
+    A polynomial f of degree <= d has Delta^(d+1) f = 0 and x^d coefficient
+    Delta^d f(0) / d!, so the integer forward differences of f(0..top+1)
+    decide both.
+    """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     top = k * (k + 1) // 2
-    xs = list(range(top + 2))
-    ys = [d_submatrix(k, x, 1).determinant() for x in xs]
-    coeffs = _interpolate(xs, ys)
-    return coeffs[top + 1] == 0 and coeffs[top] == leading_coefficient(k)
+    diffs = [d_submatrix(k, x, 1).determinant() for x in range(top + 2)]
+    for _ in range(top):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    low, high = diffs  # Delta^top f(0), Delta^top f(1)
+    return high == low and Fraction(low, factorial(top)) == leading_coefficient(k)
 
 
 _GAMMA6_CORE = (
@@ -362,127 +330,60 @@ def suite_delannoy(limit: int = 20) -> list[dict]:
     from .delannoy import (
         count_D_paths_bruteforce,
         count_H_paths_bruteforce,
-        delannoy_D,
-        delannoy_H,
+        delannoy_D as D,
+        delannoy_H as H,
         half_shift_expansion,
     )
     from .errors import IdentityError
 
-    out = []
-    grid = [(i, j) for i in range(limit + 1) for j in range(limit + 1)]
+    def square(lo, hi):
+        return [(i, j) for i in range(lo, hi + 1) for j in range(lo, hi + 1)]
 
-    def all_hold(pred):
-        return all(pred(i, j) for i, j in grid)
+    def half_shift(i, j):
+        try:
+            half_shift_expansion(i, j)
+        except IdentityError:
+            return False
+        return True
 
-    out.append(
+    grid = square(0, limit)
+    i_from_1 = [(i, j) for i in range(1, limit + 1) for j in range(limit + 1)]
+    # (identity, grid label, points, predicate): the record passes when the
+    # predicate holds at every point, checked in order up to the first miss
+    rows = [
+        ("D = D(i-1,j) + H(i,j-1)", limit, grid,
+         lambda i, j: D(i, j) == D(i - 1, j) + H(i, j - 1)),
+        ("D = sum_l H(l,j-1)", limit, grid,
+         lambda i, j: D(i, j) == sum(H(l, j - 1) for l in range(i + 1))),
+        ("D = binomial sum (path count)", limit, square(0, min(limit, 12)),
+         lambda i, j: D(i, j) == count_D_paths_bruteforce(i, j)),
+        ("H recurrence", limit, grid,
+         lambda i, j: H(i, j) == H(i - 1, j) + H(i, j - 1) + H(i - 1, j - 1)),
+        ("H = 2 sum_l D(l,i-1), i >= 1", limit, i_from_1,
+         lambda i, j: H(i, j) == 2 * sum(D(l, i - 1) for l in range(j + 1))),
+        ("H(0,j) = 1", limit, [(0, j) for j in range(-1, limit + 1)],
+         lambda i, j: H(i, j) == 1),
+        ("H binomial sum, i >= 1", limit, i_from_1,
+         lambda i, j: H(i, j) == sum(
+             binomial(i - 1, l - 1) * binomial(j + 1, l) * 2**l
+             for l in range(1, i + 1)
+         )),
+        ("H path count", 12, square(0, 12),
+         lambda i, j: H(i, j) == count_H_paths_bruteforce(i, j)),
+        ("recurrence for extended D", "[-3,12]^2", square(-3, 12),
+         lambda i, j: D(i, j) == D(i - 1, j) + D(i - 1, j - 1) + D(i, j - 1)),
+        ("D(i,-1/2) base case", limit, [(i, -_HALF) for i in range(limit + 1)],
+         lambda i, j: D(i, j) == (0 if i % 2 else abs(binomial(-_HALF, i // 2)))),
+        ("half-shift expansion", "[-1,12]^2", square(-1, 12), half_shift),
+    ]
+    return [
         _record(
             "delannoy",
-            {"identity": "D = D(i-1,j) + H(i,j-1)", "grid": limit},
-            all_hold(lambda i, j: delannoy_D(i, j)
-                     == delannoy_D(i - 1, j) + delannoy_H(i, j - 1)),
+            {"identity": identity, "grid": label},
+            all(holds(i, j) for i, j in points),
         )
-    )
-    out.append(
-        _record(
-            "delannoy",
-            {"identity": "D = sum_l H(l,j-1)", "grid": limit},
-            all_hold(lambda i, j: delannoy_D(i, j)
-                     == sum(delannoy_H(l, j - 1) for l in range(i + 1))),
-        )
-    )
-    out.append(
-        _record(
-            "delannoy",
-            {"identity": "D = binomial sum (path count)", "grid": limit},
-            all(
-                delannoy_D(i, j) == count_D_paths_bruteforce(i, j)
-                for i in range(min(limit, 12) + 1)
-                for j in range(min(limit, 12) + 1)
-            ),
-        )
-    )
-    out.append(
-        _record(
-            "delannoy",
-            {"identity": "H recurrence", "grid": limit},
-            all_hold(
-                lambda i, j: delannoy_H(i, j)
-                == delannoy_H(i - 1, j) + delannoy_H(i, j - 1) + delannoy_H(i - 1, j - 1)
-            ),
-        )
-    )
-    out.append(
-        _record(
-            "delannoy",
-            {"identity": "H = 2 sum_l D(l,i-1), i >= 1", "grid": limit},
-            all(
-                delannoy_H(i, j) == 2 * sum(delannoy_D(l, i - 1) for l in range(j + 1))
-                for i in range(1, limit + 1)
-                for j in range(limit + 1)
-            ),
-        )
-    )
-    out.append(
-        _record(
-            "delannoy",
-            {"identity": "H(0,j) = 1", "grid": limit},
-            all(delannoy_H(0, j) == 1 for j in range(-1, limit + 1)),
-        )
-    )
-    out.append(
-        _record(
-            "delannoy",
-            {"identity": "H binomial sum, i >= 1", "grid": limit},
-            all(
-                delannoy_H(i, j)
-                == sum(
-                    binomial(i - 1, l - 1) * binomial(j + 1, l) * 2**l
-                    for l in range(1, i + 1)
-                )
-                for i in range(1, limit + 1)
-                for j in range(limit + 1)
-            ),
-        )
-    )
-    out.append(
-        _record(
-            "delannoy",
-            {"identity": "H path count", "grid": 12},
-            all(
-                delannoy_H(i, j) == count_H_paths_bruteforce(i, j)
-                for i in range(13)
-                for j in range(13)
-            ),
-        )
-    )
-    out.append(
-        _record(
-            "delannoy",
-            {"identity": "recurrence for extended D", "grid": "[-3,12]^2"},
-            all(
-                delannoy_D(i, j)
-                == delannoy_D(i - 1, j) + delannoy_D(i - 1, j - 1) + delannoy_D(i, j - 1)
-                for i in range(-3, 13)
-                for j in range(-3, 13)
-            ),
-        )
-    )
-    wish_ok = True
-    for i in range(limit + 1):
-        expected = 0 if i % 2 == 1 else abs(binomial(-_HALF, i // 2))
-        wish_ok = wish_ok and delannoy_D(i, -_HALF) == expected
-    out.append(_record("delannoy", {"identity": "D(i,-1/2) base case", "grid": limit}, wish_ok))
-    half_ok = True
-    try:
-        for i in range(-1, 13):
-            for j in range(-1, 13):
-                half_shift_expansion(i, j)
-    except IdentityError:
-        half_ok = False
-    out.append(
-        _record("delannoy", {"identity": "half-shift expansion", "grid": "[-1,12]^2"}, half_ok)
-    )
-    return out
+        for identity, label, points, holds in rows
+    ]
 
 
 def _id_sweep(t: int, kmax: int | None) -> list[dict]:

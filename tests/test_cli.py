@@ -147,7 +147,8 @@ def test_verify_exit_codes(capsys):
 
 
 # sha256 of the `verify --suite SUITE [--kmax KMAX]` stdout: every suite at
-# its default sweep, and the larger kernels, id1 and id2 sweeps
+# its default sweep, and the larger delannoy, kernels, id1, id2, main and
+# degree sweeps
 VERIFY_DIGESTS = {
     ("delannoy", None): "bd6f866049660458e530a86ef811429166e32a2ce0025e31184cdd331c8e52b3",
     ("kernels", None): "c4d977f0e2760ddb8b7a5f91ad84e2cdd3ed93f9d928dbbf6df3abc9aaebf21e",
@@ -160,6 +161,9 @@ VERIFY_DIGESTS = {
     ("kernels", 12): "c91d7ca75624c5c93a1dbe76d41366c5745d675e4c0557018276f0d27944202e",
     ("id1", 20): "b17884e49fcfb9e8f015578a79f5cc5b0551d936861b051af3e241d225403a9f",
     ("id2", 20): "c741e54fd6c47301c39e50f26e1d54f7dc7a1ac09ea26fcb356f2b34621d609f",
+    ("delannoy", 30): "806214436e60e218e2668506552b5e6ffdd9a761200e14e8f1ab87ce10451134",
+    ("degree", 8): "8b632effd8aa5a25289e583bb0f7f96787b320a911ee1ededf0e14017235b971",
+    ("main", 10): "e64f994ab6ab5281314abd40950d194c80a227522739fd49ca4f4dafafd80e82",
 }
 
 

@@ -67,6 +67,12 @@ def test_pochhammer_recurrence():
         x = Fraction(num, 2)
         for i in range(0, 8):
             assert pochhammer(x, i + 1) == pochhammer(x, i) * (x + i)
+    # an int x takes the int path, with the Fraction path's value
+    for x in range(-6, 7):
+        for i in range(0, 9):
+            assert type(pochhammer(x, i)) is int
+            assert pochhammer(x, i) == pochhammer(Fraction(x), i)
+            assert pochhammer(x, i + 1) == pochhammer(x, i) * (x + i)
 
 
 def test_pochhammer_rejects_negative_index():

@@ -177,3 +177,25 @@ def _sequences(draw):
 @given(_sequences())
 def test_validate_matches_strip_predicates(seq):
     assert validate_sequence(seq) == _reference_validate(seq)
+
+
+def test_validate_matches_enumeration():
+    # independent of the strip predicates: change one entry of each listed
+    # chain in every way; the result is valid exactly when it is a chain of
+    # partitions that the enumerator lists once trailing zeros are dropped
+    valid = [
+        seq
+        for mu in small_partitions(2, 2)
+        for case in (1, 2)
+        for seq in enumerate_sequences(mu, case)
+    ]
+    listed = {(seq.mu, seq.case, seq.chain) for seq in valid}
+    entries = [*small_partitions(2, 3), (0, 1), (-1,)]
+    for seq in valid:
+        for j in range(len(seq.chain)):
+            for lam in entries:
+                chain = seq.chain[:j] + (lam,) + seq.chain[j + 1 :]
+                expect = all(map(is_partition, chain)) and (
+                    (seq.mu, seq.case, tuple(map(normalize, chain))) in listed
+                )
+                assert validate_sequence(PartitionSequence(seq.case, seq.mu, chain)) == expect

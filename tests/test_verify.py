@@ -144,6 +144,23 @@ def test_degree_and_leading():
         check_degree_and_leading(0)
 
 
+@pytest.mark.parametrize(
+    "poly, expected",
+    [
+        (lambda n: Fraction(8, 3) * n**3 - n + 7, True),  # degree 3, top 8/3
+        # degree top+1 = 4, and Delta^3 f(0) / 3! = 8/3 all the same
+        (lambda n: n * (n - 1) * (n - 2) * (n - 3) + Fraction(8, 3) * n**3, False),
+        (lambda n: 3 * n**3 + n, False),  # degree 3, wrong top coefficient
+    ],
+    ids=["right", "degree-too-high", "wrong-top-coefficient"],
+)
+def test_degree_and_leading_detects_wrong_polynomial(monkeypatch, poly, expected):
+    # k = 2: det D1 is a cubic with top coefficient 8/3; a 1x1 stand-in
+    # for D1(2; n) makes the determinant any polynomial in n
+    monkeypatch.setattr(verify, "d_submatrix", lambda k, n, case: Matrix([[poly(n)]]))
+    assert check_degree_and_leading(2) is expected
+
+
 def test_gamma6():
     assert check_gamma6(3, 1)
     assert check_gamma6(10, 2)
