@@ -48,9 +48,9 @@ def _staircase_parameters(mu: Partition):
 def _cmd_count(args) -> int:
     mu = parse_partition(args.mu)
     if args.method == "det":
-        from .delannoy import lgv_matrix
+        from .delannoy import lgv_determinant
 
-        value = lgv_matrix(mu, args.case).determinant()
+        value = lgv_determinant(mu, args.case)
     elif args.method == "product":
         from .formulas import product_case1, product_case2
 

@@ -9,11 +9,14 @@ j <= -2 it continues H as a polynomial, which the determinant relation
 between the two matrix families needs.
 
 An integer second argument keeps D and H in ``int`` arithmetic throughout
-(the ``int`` path of ``exact.binomial``); only a non-integral rational j
-sums in ``Fraction``.  Every count the CLI prints takes the ``int`` path.
+(the ``int`` path of ``exact.binomial``).  A non-integral rational j = p/q
+sums in ``int`` arithmetic too, over one common denominator, and builds a
+single ``Fraction`` at the end.  Every count the CLI prints takes the
+``int`` path.
 
 ``lgv_matrix`` and ``d_submatrix`` assemble the LGV and staircase
-matrices from these entries.  They live here, not in ``paths``, so that a
+matrices from these entries, and ``lgv_determinant`` counts by the LGV
+matrix.  They live here, not in ``paths``, so that a
 determinant count loads neither the path, tableau and chain models nor
 ``dataclasses``; ``paths`` still binds both names.
 
@@ -23,6 +26,7 @@ independent oracles for the closed forms.
 
 from fractions import Fraction
 from functools import cache
+from math import comb, factorial
 
 from .errors import IdentityError
 from .exact import Exact, Matrix, as_fraction, binomial, normalize
@@ -33,18 +37,31 @@ def delannoy_D(i: int, j: Exact) -> Exact:
     """Sum over l of C(i,l) C(j,l) 2^l; counts N/NE/E paths to (i,j) when
     i, j are non-negative integers.  Returns 0 for i < 0."""
     # guard and canonicalize before the cache so float keys never coalesce
-    # with exact ones
-    return _delannoy_D(i, normalize(as_fraction(j)))
+    # with exact ones; an int j is already canonical
+    if type(j) is not int:
+        j = normalize(as_fraction(j))
+    return _delannoy_D(i, j)
 
 
 @cache
 def _delannoy_D(i: int, j: Exact) -> Exact:
     if i < 0:
         return 0
-    # an int j keeps every term, and so the sum, an int
-    return normalize(
-        sum(binomial(i, l) * binomial(j, l) * 2**l for l in range(i + 1))
-    )
+    if isinstance(j, int):
+        # an int j keeps every term, and so the sum, an int; C(j,l) = 0 for
+        # l > j >= 0
+        top = min(i, j) if j >= 0 else i
+        return sum(comb(i, l) * binomial(j, l) << l for l in range(top + 1))
+    # C(p/q, l) = prod_{m<l} (p - m q) / (q^l l!), so over the common
+    # denominator q^i i! the term l has numerator
+    # C(i,l) 2^l prod_{m<l} (p - m q) q^(i-l) i!/l!
+    p, q = j.numerator, j.denominator
+    num, falling, tail = 0, 1, factorial(i)  # tail = i!/l!
+    for l in range(i + 1):
+        num += (comb(i, l) * falling * q ** (i - l) * tail) << l
+        falling *= p - l * q
+        tail //= l + 1
+    return normalize(Fraction(num, q**i * factorial(i)))
 
 
 @cache
@@ -64,6 +81,21 @@ def lgv_matrix(mu: Partition, case: int) -> Matrix:
     return Matrix(
         [[count(mu[a] - a + b, n - b - 1) for b in range(n)] for a in range(n)]
     )
+
+
+def lgv_determinant(mu: Partition, case: int) -> int:
+    """det ``lgv_matrix(mu, case)``: the number of vertex-disjoint families.
+
+    Bareiss keeps leading minors as its intermediate entries, and the LGV
+    matrix has its largest entries in the top-left corner, where
+    ``mu[a] - a + b`` is largest.  So this eliminates the matrix rotated by
+    180 degrees, its rows and its columns reversed, whose leading minors are
+    small.  The value is unchanged: reversing the rows and reversing the
+    columns each multiply the determinant by the sign of the same reversal
+    permutation, and the two signs cancel.
+    """
+    rows = lgv_matrix(mu, case).entries
+    return Matrix([row[::-1] for row in reversed(rows)]).determinant()
 
 
 def d_submatrix(k: int, n: Exact, case: int) -> Matrix:

@@ -5,17 +5,17 @@ Every value is an ``int`` or a ``fractions.Fraction``; nothing here ever
 rounds.  Results with denominator 1 are normalized back to ``int`` so that
 counts print and compare as plain integers.
 
-``binomial`` and ``Matrix.determinant`` each have an ``int`` path, taken
-when the arguments are all ``int`` (an integer ``x``; a matrix whose every
-entry has type ``int``), which never builds a ``Fraction``.  Any
-``Fraction`` argument, even one with denominator 1, takes the ``Fraction``
-path.  Both paths return the same value.  ``pochhammer`` needs no second
+``binomial`` has an ``int`` path, taken for an integer ``x``, which never
+builds a ``Fraction``; a ``Fraction`` x, even one with denominator 1, takes
+the ``Fraction`` path, with the same value.  ``pochhammer`` needs no second
 path: for an ``int`` x its product stays in ``int`` arithmetic.
+``Matrix.determinant`` has one path for every exact matrix: it scales each
+row to integers and eliminates in ``int`` arithmetic, building at most one
+``Fraction``, for the result.
 """
 
 from fractions import Fraction
-from math import comb, factorial, prod
-from operator import floordiv, truediv
+from math import comb, factorial, lcm, prod
 
 Exact = int | Fraction
 
@@ -97,22 +97,32 @@ class Matrix:
         sign tracking; an all-zero column short-circuits to 0.  The 0x0
         determinant is 1.
 
-        When every entry has type ``int`` each Bareiss quotient is exact
-        (Sylvester's identity), so elimination divides with ``//`` and
-        returns an ``int``.  Otherwise the entries become ``Fraction`` and
-        elimination divides with ``/``.
+        Each row that holds a ``Fraction`` is first multiplied by the lcm
+        of its entries' denominators, and the product of those scales
+        divides the result, so elimination always runs on ``int`` entries.
+        There each Bareiss quotient is exact (Sylvester's identity) and
+        divides with ``//``.  A row whose entries are all ``int`` is taken
+        as it is, with no scaling work, and an integer matrix returns an
+        ``int``.  Any entry that is neither ``int`` nor ``Fraction`` raises
+        ``TypeError``.
         """
         if self.nrows != self.ncols:
             raise ValueError(f"determinant of {self.nrows}x{self.ncols} matrix")
         n = self.nrows
         if n == 0:
             return 1
-        if all(type(x) is int for row in self.entries for x in row):
-            a = [list(row) for row in self.entries]
-            divide = floordiv
-        else:
-            a = [[Fraction(x) for x in row] for row in self.entries]
-            divide = truediv
+        a = []
+        scale = 1
+        for row in self.entries:
+            if all(type(x) is int for x in row):
+                a.append(list(row))
+                continue
+            for x in row:
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError(f"exact rational required, got {type(x).__name__}")
+            d = lcm(*(x.denominator for x in row))
+            a.append([x.numerator * (d // x.denominator) for x in row])
+            scale *= d
         sign = 1
         prev = 1
         for r in range(n - 1):
@@ -124,7 +134,7 @@ class Matrix:
                 sign = -sign
             for i in range(r + 1, n):
                 for j in range(r + 1, n):
-                    a[i][j] = divide(a[i][j] * a[r][r] - a[i][r] * a[r][j], prev)
+                    a[i][j] = (a[i][j] * a[r][r] - a[i][r] * a[r][j]) // prev
                 a[i][r] = 0
             prev = a[r][r]
-        return normalize(sign * a[n - 1][n - 1])
+        return normalize(Fraction(sign * a[n - 1][n - 1], scale))

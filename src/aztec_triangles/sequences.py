@@ -154,9 +154,9 @@ def count_sequences(mu: Partition, case: int) -> int:
     """Chain count via the non-intersecting-path determinant."""
     # Imported here so that enumerating chains, tableaux or tilings does not
     # load the exact arithmetic only the determinant needs.
-    from .delannoy import lgv_matrix
+    from .delannoy import lgv_determinant
 
-    return lgv_matrix(mu, case).determinant()
+    return lgv_determinant(mu, case)
 
 
 def enumerate_restricted(n: int, k: int, cap: int | None = None):

@@ -22,7 +22,7 @@ k^2+2k+4r-4r^2-4s-4ks+4s^2 - l^2 at t = 0 and k^2-4r^2-4ks+4s^2 - l^2 at t = 1.
 from fractions import Fraction
 from math import factorial
 
-from .delannoy import d_submatrix, lgv_matrix
+from .delannoy import d_submatrix, lgv_determinant
 from .exact import Exact, binomial, normalize, pochhammer
 from .formulas import leading_coefficient, product_main
 
@@ -441,8 +441,8 @@ def suite_degree(kmax: int = 4) -> list[dict]:
 def suite_case12(kmax: int = 4) -> list[dict]:
     out = []
     for k in range(1, kmax + 1):
-        case1 = lgv_matrix(tuple(range(k + 1, 0, -1)), 1).determinant()
-        case2 = lgv_matrix(tuple(range(k, -1, -1)), 2).determinant()
+        case1 = lgv_determinant(tuple(range(k + 1, 0, -1)), 1)
+        case2 = lgv_determinant(tuple(range(k, -1, -1)), 2)
         out.append(_record("case12", {"k": k}, case1 == case2))
     return out
 

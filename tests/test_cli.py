@@ -147,8 +147,7 @@ def test_verify_exit_codes(capsys):
 
 
 # sha256 of the `verify --suite SUITE [--kmax KMAX]` stdout: every suite at
-# its default sweep, and the larger delannoy, kernels, id1, id2, main and
-# degree sweeps
+# its default sweep, and the larger sweeps of every suite
 VERIFY_DIGESTS = {
     ("delannoy", None): "bd6f866049660458e530a86ef811429166e32a2ce0025e31184cdd331c8e52b3",
     ("kernels", None): "c4d977f0e2760ddb8b7a5f91ad84e2cdd3ed93f9d928dbbf6df3abc9aaebf21e",
@@ -164,6 +163,9 @@ VERIFY_DIGESTS = {
     ("delannoy", 30): "806214436e60e218e2668506552b5e6ffdd9a761200e14e8f1ab87ce10451134",
     ("degree", 8): "8b632effd8aa5a25289e583bb0f7f96787b320a911ee1ededf0e14017235b971",
     ("main", 10): "e64f994ab6ab5281314abd40950d194c80a227522739fd49ca4f4dafafd80e82",
+    ("kernels", 14): "d03025b44d25d0643873767c3c6b211ccbc3dc316e194a19b6c4aecedb6e2055",
+    ("detprop", 12): "504a3d6e57d14aa13ddeec69e9f98585d071473323951ba626aba573dfb28c4e",
+    ("case12", 10): "1c289fa6bcf14e73da33ec1821d90b99c0998eb1622caeba292b9cf366d7ecdf",
 }
 
 

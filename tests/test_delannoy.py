@@ -22,6 +22,21 @@ def test_delannoy_D_examples():
     assert delannoy_D(-2, 5) == 0
 
 
+def test_delannoy_D_matches_reference_sum():
+    # the binomial sum in Fraction arithmetic, at integral and non-integral j
+    for b in (1, 2, 3, 7):
+        for a in range(-20, 21):
+            j = Fraction(a, b)
+            binomials_j = [binomial(j, l) * 2**l for l in range(31)]
+            for i in range(-2, 31):
+                value = delannoy_D(i, j)
+                reference = sum(
+                    (binomial(i, l) * binomials_j[l] for l in range(i + 1)), Fraction(0)
+                )
+                assert value == reference, (i, j)
+                assert type(value) is (int if reference.denominator == 1 else Fraction)
+
+
 def test_delannoy_H_examples():
     assert delannoy_H(0, -1) == 1
     assert delannoy_H(1, 1) == 4  # D(1,1) + D(0,1)

@@ -105,6 +105,9 @@ def test_floats_are_rejected():
     for j in (0.5, 2.0):
         with pytest.raises(TypeError):
             delannoy_D(2, j)
+    for rows in ([[0.5]], [[1, 2.0], [3, 4]], [[Fraction(1, 2), 1], [0.25, 1]]):
+        with pytest.raises(TypeError):
+            Matrix(rows).determinant()
 
 
 def _det_by_permutation_expansion(m: Matrix):
@@ -179,6 +182,46 @@ def test_int_determinant_matches_fraction_and_expansion(rows, shape):
     as_fractions = Matrix([[Fraction(x) for x in row] for row in rows])
     assert value == as_fractions.determinant() == _det_by_permutation_expansion(m)
     if rows and shape == 1:
+        assert value == 0
+
+
+_rational = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from([1, 2, 3, 7])
+)
+_rational_rows = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(_rational, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@given(_rational_rows, st.integers(min_value=0, max_value=3))
+@example([[Fraction(0), Fraction(1, 2)], [Fraction(2, 3), Fraction(5, 7)]], 0)
+@example(  # swap at the second pivot
+    [[Fraction(1, 2), Fraction(1, 3), 1], [1, Fraction(2, 3), Fraction(1, 7)],
+     [Fraction(3, 7), 2, Fraction(5, 2)]],
+    0,
+)
+@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 7), Fraction(2, 7)]], 1)
+def test_rational_determinant_matches_expansion(rows, shape):
+    # shape 1 makes the last row 2/3 of the first plus 1/7 of the one before
+    # it, or zero when n = 1 (singular); shape 2 zeroes the first pivot, so
+    # the first column needs a row swap; shape 3 zeroes the first column
+    if shape == 1:
+        rows[-1] = (
+            [Fraction(2, 3) * x + Fraction(1, 7) * y for x, y in zip(rows[0], rows[-2])]
+            if len(rows) > 1 else [0]
+        )
+    if shape == 2:
+        rows[0][0] = 0
+    if shape == 3:
+        for row in rows:
+            row[0] = 0
+    m = Matrix(rows)
+    value = m.determinant()
+    assert value == _det_by_permutation_expansion(m)
+    assert type(value) is (int if Fraction(value).denominator == 1 else Fraction)
+    if shape in (1, 3):
         assert value == 0
 
 

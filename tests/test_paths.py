@@ -4,7 +4,7 @@ import pytest
 
 from conftest import small_partitions
 
-from aztec_triangles.delannoy import delannoy_D, delannoy_H
+from aztec_triangles.delannoy import delannoy_D, delannoy_H, lgv_determinant
 from aztec_triangles.errors import CapExceeded
 from aztec_triangles.exact import Matrix
 from aztec_triangles.paths import (
@@ -83,7 +83,7 @@ def test_lgv_agreement_grid():
         for case in (1, 2):
             det = lgv_matrix(mu, case).determinant()
             fams = enumerate_path_families(mu, case)
-            assert det == len(fams), (mu, case)
+            assert det == len(fams) == lgv_determinant(mu, case), (mu, case)
             assert all(validate_family(f) for f in fams)
 
 
