@@ -15,10 +15,17 @@ single ``Fraction`` at the end.  Every count the CLI prints takes the
 ``int`` path.
 
 ``lgv_matrix`` and ``d_submatrix`` assemble the LGV and staircase
-matrices from these entries, and ``lgv_determinant`` counts by the LGV
-matrix.  They live here, not in ``paths``, so that a
-determinant count loads neither the path, tableau and chain models nor
-``dataclasses``; ``paths`` still binds both names.
+matrices, and ``lgv_determinant`` counts by the LGV matrix.  They live
+here, not in ``paths``, so that a determinant count loads neither the path,
+tableau and chain models nor ``dataclasses``; ``paths`` still binds both
+names.  The LGV matrix and D2 read their entries one by one from
+``delannoy_D`` and ``delannoy_H``.  D1(k; n), at any rational n = p/q, is
+built whole by ``d1_rows`` instead: one table of D(a, n-1-j) * q^a a!,
+a = 0..2k-1, j = 0..k-1 (scale 1 at an integer n, so the table stays plain
+``int``), filled by two recurrences in a few ``int`` operations per entry.
+Both recurrences are polynomial identities in the second argument, so they
+hold at every rational n.  ``d_submatrix(k, n, 1)`` divides those rows by
+their scales.
 
 The brute-force counters walk the step set directly and serve as
 independent oracles for the closed forms.
@@ -26,7 +33,9 @@ independent oracles for the closed forms.
 
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb, factorial
+from operator import mul
 
 from .errors import IdentityError
 from .exact import Exact, Matrix, as_fraction, binomial, normalize
@@ -102,16 +111,16 @@ def d_submatrix(k: int, n: Exact, case: int) -> Matrix:
     """The k x k matrix governing staircase shapes mu = (k,...,1,0^(n-k)).
 
     Case 1 uses entries D(k-2i+j, n-j-1) for 0 <= i,j <= k-1 with the
-    polynomial extension of D, so n may be any rational.  Case 2 uses
-    H(2j-i, i+n-k-1) for 1 <= i,j <= k and needs integer n.
+    polynomial extension of D, so n may be any rational; they are the rows
+    of ``d1_rows`` divided by their scales.  Case 2 uses H(2j-i, i+n-k-1)
+    for 1 <= i,j <= k and needs integer n.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     if case == 1:
-        if isinstance(n, Fraction) and n.denominator == 1:
-            n = int(n)
+        rows, scales = d1_rows(k, n)
         return Matrix(
-            [[delannoy_D(k - 2 * i + j, n - j - 1) for j in range(k)] for i in range(k)]
+            [[normalize(Fraction(x, c)) for x in row] for row, c in zip(rows, scales)]
         )
     if case == 2:
         if isinstance(n, Fraction):
@@ -125,6 +134,63 @@ def d_submatrix(k: int, n: Exact, case: int) -> Matrix:
             ]
         )
     raise ValueError(f"case must be 1 or 2, got {case}")
+
+
+def d1_rows(k: int, n: Exact) -> tuple[list[list[int]], list[int]]:
+    """D1(k; n) as ``int`` rows over positive row scales: entry (i, j),
+    D(k-2i+j, n-j-1), equals ``rows[i][j] / scales[i]`` for any rational n.
+
+    For n = p/q in lowest terms the rows are read off one table
+    N[a][j] = D(a, y_j) * c_a, y_j = n-1-j, for a = 0..2k-1 and j = 0..k-1.
+    The scale is c_a = f_1 ... f_a with f_a = a q when q > 1, and c_a = 1
+    (f_a = 1) when n is an integer, so that at an integer n every row is a
+    row of plain ``int`` entries over scale 1.  Two recurrences fill the
+    table, a few ``int`` operations per entry:
+
+    - column 0 by a D(a, y) = (2y+1) D(a-1, y) + (a-1) D(a-2, y), which
+      sum_a D(a, y) x^a = (1+x)^y / (1-x)^(y+1) gives; scaled,
+      N[a][0] = f_a ((2p-q) N[a-1][0] + (a-1) q f_(a-1) N[a-2][0]) / (a q),
+      an exact division;
+    - each later column from the one before by
+      D(a, y-1) = D(a, y) - D(a-1, y) - D(a-1, y-1); scaled,
+      N[a][j+1] = N[a][j] - f_a (N[a-1][j] + N[a-1][j+1]), with
+      N[0][j] = 1.
+
+    For each a, both sides of either recurrence are polynomials in y that
+    agree at every integer y >= 1, where D counts lattice paths; so each is
+    a polynomial identity and holds at every rational y.  Row i, whose first
+    arguments are a = k-2i+j <= 2k-2i-1, is lifted to the scale c_(2k-2i-1),
+    which every c_a with a smaller a divides.
+    """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    if type(n) is not int:
+        n = normalize(as_fraction(n))
+    p, q, size = n.numerator, n.denominator, 2 * k
+    f = [1] * size if q == 1 else [a * q for a in range(size)]
+    c = list(accumulate(f[1:], mul, initial=1))
+    column = [1]
+    for a in range(1, size):
+        # at a = 1, column[a - 2] is column[-1], and its factor a - 1 is 0
+        tail = (a - 1) * q * f[a - 1] * column[a - 2]
+        column.append(f[a] * ((2 * p - q) * column[a - 1] + tail) // (a * q))
+    table = [column]
+    for _ in range(1, k):
+        prev, column = column, [1]
+        for f_a, up, up_left in zip(f[1:], prev[1:], prev):
+            column.append(up - f_a * (up_left + column[-1]))
+        table.append(column)
+    rows, scales = [], []
+    for i in range(k):
+        scale = c[2 * k - 2 * i - 1]
+        rows.append(
+            [
+                table[j][a] * (scale // c[a]) if (a := k - 2 * i + j) >= 0 else 0
+                for j in range(k)
+            ]
+        )
+        scales.append(scale)
+    return rows, scales
 
 
 def count_D_paths_bruteforce(i: int, j: int) -> int:

@@ -6,6 +6,16 @@ linear relations behind each factor's exponent.  The two double-sum
 identities are the closed forms those relations reduce to.  Everything here
 is an exact equality of rationals; there are no tolerances.
 
+The checks on the staircase matrix D1(k; n) (steps 1-4, ``detprop``,
+``main``, ``degree``) read it as ``d1_rows`` gives it: ``int`` rows over
+positive row scales.  So a kernel step's residual, a combination of
+entries, is an ``int`` sum over a positive scale (the row's scale for steps
+1 and 2; for steps 3 and 4 one common denominator W of the weights over
+their rows' scales), and it is zero exactly when that ``int`` sum is.  A
+determinant is the ``int`` rows' determinant over the product of the
+scales.  Every check looks ``d1_rows`` up in this module when it runs, so a
+test can put a stand-in there.
+
 Step 3 note: the first sum carries (-1)^(i-a), not (-1)^i; expanding the
 alternating binomial sum produces a global (-1)^a that has to cancel
 against the unsigned tail sum, and the worked (k,s,a) = (4,2,1) instance
@@ -20,10 +30,11 @@ k^2+2k+4r-4r^2-4s-4ks+4s^2 - l^2 at t = 0 and k^2-4r^2-4ks+4s^2 - l^2 at t = 1.
 """
 
 from fractions import Fraction
-from math import factorial
+from functools import cache
+from math import factorial, lcm, prod
 
-from .delannoy import d_submatrix, lgv_determinant
-from .exact import Exact, binomial, normalize, pochhammer
+from .delannoy import d1_rows, d_submatrix, lgv_determinant
+from .exact import Exact, Matrix, binomial, normalize, pochhammer
 from .formulas import leading_coefficient, product_main
 
 _HALF = Fraction(1, 2)
@@ -68,61 +79,73 @@ _LEGAL = {
 }
 
 
-def _d1(k: int, n: Exact):
-    """D1(k; n), with ``d_submatrix`` looked up when called."""
-    return d_submatrix(k, n, 1)
+def _d1_det(k: int, n: Exact) -> Exact:
+    """det D1(k; n): the determinant of ``d1_rows``'s ``int`` rows over the
+    product of their scales."""
+    rows, scales = d1_rows(k, n)
+    return normalize(Fraction(Matrix(rows).determinant(), prod(scales)))
 
 
-def _kernel_step(step: str, variant, k: int, s: int, a: int, d1) -> dict:
-    """Combine the columns (steps 1, 2) or rows (steps 3, 4) of
-    D1(k; n) = d1(k, n) at the step's root n; it passes when every
-    combination is 0."""
+def _kernel_step(step: str, variant, k: int, s: int, a: int, d1, coeff) -> dict:
+    """Combine the columns (steps 1, 2) or rows (steps 3, 4) of D1(k; n) at
+    the step's root n, whose ``int`` rows and scales ``d1(k, n)`` gives;
+    ``coeff(s, l, t)`` gives step 4's row weights (``_coeff`` or a cache of
+    it).  It passes when every combination is 0."""
     if not _LEGAL[step, variant](k, s, a):
         label = f"step {step[-1]}" + (f" ({variant})" if variant else "")
         raise ValueError(f"illegal {label} parameters {(k, s, a)}")
     params = {"k": k, "s": s, "a": a}
     if step == "step1":
-        m, top = d1(k, s + 1), 2 * s - 2 * a + 1
+        (rows, scales), top = d1(k, s + 1), 2 * s - 2 * a + 1
     elif step == "step2":
-        m, top = d1(k, s + _HALF), 2 * s - 2 * a
+        (rows, scales), top = d1(k, s + _HALF), 2 * s - 2 * a
     elif step == "step3":
         # an alternating head over rows a..s+1-a minus a power-of-two tail
         # over rows s+1-a..k-1; the two share row s+1-a
-        m, tail = d1(k, -k + s + 1), 2 ** (2 * s + 2 - 4 * a)
-        rows = [
+        (rows, scales), tail = d1(k, -k + s + 1), 2 ** (2 * s + 2 - 4 * a)
+        weights = [
             ((-1) ** (i - a) * binomial(s + 1 - 2 * a, i - a), i)
             for i in range(a, s + 2 - a)
         ]
-        rows += [
+        weights += [
             (-tail * binomial(i - a - 1, s - 2 * a), i) for i in range(s + 1 - a, k)
         ]
     else:
         t = int(variant == "even")
-        m = d1(k, -k + 2 * s - _HALF + t)
-        rows = [(_coeff(s - a, i - a, t), i) for i in range(a, k)]
+        rows, scales = d1(k, -k + 2 * s - _HALF + t)
+        weights = [(coeff(s - a, i - a, t), i) for i in range(a, k)]
         params["variant"] = variant
     if step in ("step1", "step2"):  # each row over columns a..a+top
         cols = [(binomial(top, j - a), j) for j in range(a, a + top + 1)]
-        residuals = [sum(w * m[i, j] for w, j in cols) for i in range(k)]
-    else:  # each column over the weighted rows
-        residuals = [sum(w * m[i, j] for w, i in rows) for j in range(k)]
-    passed = all(r == 0 for r in residuals)
-    return _record(step, params, passed, [str(r) for r in residuals])
+        sums = [sum(w * row[j] for w, j in cols) for row in rows]
+    else:
+        # each column over the weighted rows: the weights w_i / scales[i]
+        # over one common denominator W are ints
+        dens = [w.denominator * scales[i] for w, i in weights]
+        common = lcm(*dens)
+        lifted = [(w.numerator * (common // d), i) for (w, i), d in zip(weights, dens)]
+        sums = [sum(w * rows[i][j] for w, i in lifted) for j in range(k)]
+        scales = [common] * k
+    passed = not any(sums)
+    residual = None if passed else [
+        str(normalize(Fraction(x, c))) for x, c in zip(sums, scales)
+    ]
+    return _record(step, params, passed, residual)
 
 
 def check_step1(k: int, s: int, a: int) -> dict:
     """Binomial column combination vanishing at n = s + 1 (k = a mod 2)."""
-    return _kernel_step("step1", None, k, s, a, _d1)
+    return _kernel_step("step1", None, k, s, a, d1_rows, _coeff)
 
 
 def check_step2(k: int, s: int, a: int) -> dict:
     """Binomial column combination vanishing at n = s + 1/2 (k != a mod 2)."""
-    return _kernel_step("step2", None, k, s, a, _d1)
+    return _kernel_step("step2", None, k, s, a, d1_rows, _coeff)
 
 
 def check_step3(k: int, s: int, a: int) -> dict:
     """Alternating row combination minus a power-of-two tail, at n = -k+s+1."""
-    return _kernel_step("step3", None, k, s, a, _d1)
+    return _kernel_step("step3", None, k, s, a, d1_rows, _coeff)
 
 
 def _head(s: int, l: int, t: int) -> Fraction:
@@ -157,7 +180,7 @@ def check_step4(k: int, s: int, a: int, variant: str) -> dict:
     half-integer roots n = -k+2s-1/2 (odd) and n = -k+2s+1/2 (even)."""
     if variant not in ("odd", "even"):
         raise ValueError(f"variant must be 'odd' or 'even', got {variant!r}")
-    return _kernel_step("step4", variant, k, s, a, _d1)
+    return _kernel_step("step4", variant, k, s, a, d1_rows, _coeff)
 
 
 def _double_sum(k: int, s: int, t: int) -> Exact:
@@ -166,10 +189,11 @@ def _double_sum(k: int, s: int, t: int) -> Exact:
         raise ValueError(f"illegal id{1 + t} parameters {(k, s)}")
     total = Fraction(0)
     x = -k + 2 * s - Fraction(3, 2) + t
+    x_terms = [binomial(x, l) * 2**l for l in range(k + 1)]
     for i in range(k):
         factor = _head(s, i, t)
         for l in range(k - 2 * i + 1):
-            total += factor * binomial(k - 2 * i, l) * binomial(x, l) * 2**l
+            total += factor * binomial(k - 2 * i, l) * x_terms[l]
     for r in range(1, s + 1):
         front = (
             Fraction((-1) ** (k - t))
@@ -207,17 +231,14 @@ def check_detprop(k: int, n: int) -> bool:
     """det D1(k; n+1/2) = det D2(k; n)."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return (
-        d_submatrix(k, n + _HALF, 1).determinant()
-        == d_submatrix(k, n, 2).determinant()
-    )
+    return _d1_det(k, n + _HALF) == d_submatrix(k, n, 2).determinant()
 
 
 def check_main(k: int, n: Exact) -> bool:
     """det D1(k; n) equals the factored product, exactly."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return d_submatrix(k, n, 1).determinant() == product_main(k, n)
+    return _d1_det(k, n) == product_main(k, n)
 
 
 def check_degree_and_leading(k: int) -> bool:
@@ -231,7 +252,7 @@ def check_degree_and_leading(k: int) -> bool:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     top = k * (k + 1) // 2
-    diffs = [d_submatrix(k, x, 1).determinant() for x in range(top + 2)]
+    diffs = [_d1_det(k, x) for x in range(top + 2)]
     for _ in range(top):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     low, high = diffs  # Delta^top f(0), Delta^top f(1)
@@ -310,19 +331,15 @@ def step_parameter_grid(kmax: int):
 def suite_kernels(kmax: int = 8) -> list[dict]:
     # The steps at one (k, s) share their roots n, and no other (k, s) has
     # those roots, so each D1(k; n) is built once and kept for that (k, s).
-    matrices = {}
-
-    def d1(k, n):
-        if n not in matrices:
-            matrices[n] = _d1(k, n)
-        return matrices[n]
-
+    # Step 4's weights depend only on (s - a, i - a, t) and are kept for the
+    # whole call.
+    d1, coeff = cache(d1_rows), cache(_coeff)
     records, at = [], None
     for step, k, s, a, variant in step_parameter_grid(kmax):
         if (k, s) != at:
             at = (k, s)
-            matrices.clear()
-        records.append(_kernel_step(step, variant, k, s, a, d1))
+            d1.cache_clear()
+        records.append(_kernel_step(step, variant, k, s, a, d1, coeff))
     return records
 
 

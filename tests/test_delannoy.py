@@ -5,6 +5,8 @@ import pytest
 from aztec_triangles.delannoy import (
     count_D_paths_bruteforce,
     count_H_paths_bruteforce,
+    d1_rows,
+    d_submatrix,
     delannoy_D,
     delannoy_H,
     half_shift_expansion,
@@ -142,3 +144,31 @@ def test_polynomial_in_second_argument():
         for _ in range(i + 1):
             values = [b - a for a, b in zip(values, values[1:])]
         assert all(v == 0 for v in values)
+
+
+def test_d1_rows_match_reference_entries():
+    # rows over scales equal the binomial-sum entries D(k-2i+j, n-j-1) at
+    # n in -12..12 in halves, thirds and sevenths; an integer n, even as a
+    # Fraction, gives plain int rows over scale 1; d_submatrix keeps each
+    # entry's value and type
+    for k in range(11):
+        for b in (2, 3, 7):
+            for a in range(-12 * b, 12 * b + 1):
+                n = Fraction(a, b)
+                rows, scales = d1_rows(k, n)
+                reference = [
+                    [delannoy_D(k - 2 * i + j, n - j - 1) for j in range(k)]
+                    for i in range(k)
+                ]
+                assert len(rows) == len(scales) == k and all(c > 0 for c in scales)
+                assert [
+                    [Fraction(x, c) for x in row] for row, c in zip(rows, scales)
+                ] == reference, (k, n)
+                if n.denominator == 1:
+                    assert scales == [1] * k
+                    assert all(type(x) is int for row in rows for x in row)
+                entries = d_submatrix(k, n, 1).entries
+                assert entries == tuple(map(tuple, reference))
+                assert [list(map(type, row)) for row in entries] == [
+                    list(map(type, row)) for row in reference
+                ]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from aztec_triangles import verify
-from aztec_triangles.exact import Matrix
+from aztec_triangles.exact import Matrix, binomial
 from aztec_triangles.paths import d_submatrix
 from aztec_triangles.verify import (
     check_degree_and_leading,
@@ -156,8 +156,13 @@ def test_degree_and_leading():
 )
 def test_degree_and_leading_detects_wrong_polynomial(monkeypatch, poly, expected):
     # k = 2: det D1 is a cubic with top coefficient 8/3; a 1x1 stand-in
-    # for D1(2; n) makes the determinant any polynomial in n
-    monkeypatch.setattr(verify, "d_submatrix", lambda k, n, case: Matrix([[poly(n)]]))
+    # for D1(2; n), one int row over one scale, makes the determinant any
+    # polynomial in n
+    def stand_in(k, n):
+        value = Fraction(poly(n))
+        return [[value.numerator]], [value.denominator]
+
+    monkeypatch.setattr(verify, "d1_rows", stand_in)
     assert check_degree_and_leading(2) is expected
 
 
@@ -180,12 +185,74 @@ def test_run_suite_json_round_trip():
         run_suite("nonsense")
 
 
+def _step_weights(step, k, s, a, variant):
+    """(weight, index) pairs of a kernel step: over the columns j of each
+    row (steps 1, 2) or over the rows i of each column (steps 3, 4)."""
+    if step in ("step1", "step2"):
+        top = 2 * s - 2 * a + (step == "step1")
+        return [(binomial(top, j - a), j) for j in range(a, a + top + 1)]
+    if step == "step3":
+        head = [
+            ((-1) ** (i - a) * binomial(s + 1 - 2 * a, i - a), i)
+            for i in range(a, s + 2 - a)
+        ]
+        tail = 2 ** (2 * s + 2 - 4 * a)
+        return head + [
+            (-tail * binomial(i - a - 1, s - 2 * a), i) for i in range(s + 1 - a, k)
+        ]
+    t = int(variant == "even")
+    return [(verify._coeff(s - a, i - a, t), i) for i in range(a, k)]
+
+
+@pytest.mark.parametrize(
+    "step, k, s, a, variant",
+    [
+        ("step1", 4, 1, 0, None),
+        ("step2", 3, 1, 0, None),
+        ("step3", 4, 1, 0, None),
+        ("step4", 7, 2, 1, "odd"),
+        ("step4", 5, 1, 0, "even"),
+    ],
+)
+def test_failing_residuals_on_int_rows(monkeypatch, step, k, s, a, variant):
+    # one entry of D1 off by 1/3 (its row tripled, the entry raised by the
+    # row's scale, the scale tripled); the record's residuals must equal
+    # the step's combination of the Fraction entries, summed here
+    i0, j0 = (0, a) if step in ("step1", "step2") else (a + 1, 0)
+    real = verify.d1_rows
+
+    def off_by_a_third(k, n):
+        rows, scales = real(k, n)
+        rows[i0] = [3 * x for x in rows[i0]]
+        rows[i0][j0] += scales[i0]
+        scales[i0] *= 3
+        return rows, scales
+
+    monkeypatch.setattr(verify, "d1_rows", off_by_a_third)
+    n = {
+        "step1": s + 1,
+        "step2": s + HALF,
+        "step3": -k + s + 1,
+        "step4": -k + 2 * s - HALF + (variant == "even"),
+    }[step]
+    rows, scales = off_by_a_third(k, n)
+    m = [[Fraction(x, c) for x in row] for row, c in zip(rows, scales)]
+    weights = _step_weights(step, k, s, a, variant)
+    if step in ("step1", "step2"):  # each row over the weighted columns
+        reference = [sum(w * row[j] for w, j in weights) for row in m]
+    else:  # each column over the weighted rows
+        reference = [sum(w * m[i][j] for w, i in weights) for j in range(k)]
+    record = getattr(verify, f"check_{step}")(k, s, a, *([variant] if variant else []))
+    assert record["pass"] is False
+    assert record["residual"] == [str(r) for r in reference]
+    assert any(r.denominator > 1 for r in reference)
+
+
 def test_failing_report_carries_residual(monkeypatch):
-    # columns 0 and 1 of row 0 sum to 1/3; a kernel step keeps one string
-    # per row, an identity one string for its value
-    monkeypatch.setattr(
-        verify, "d_submatrix", lambda k, n, case: Matrix([[Fraction(4, 3), -1], [1, -1]])
-    )
+    # columns 0 and 1 of row 0, [4/3, -1] as [4, -3] over scale 3, sum to
+    # 1/3; a kernel step keeps one string per row, an identity one string
+    # for its value
+    monkeypatch.setattr(verify, "d1_rows", lambda k, n: ([[4, -3], [1, -1]], [3, 1]))
     record = check_step1(2, 0, 0)
     assert record["pass"] is False
     assert record["residual"] == ["1/3", "0"]
