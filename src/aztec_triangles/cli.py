@@ -214,6 +214,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    # counts of any size print; older Pythons have no int-to-str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -18,21 +18,18 @@ single ``Fraction`` at the end.  Every count the CLI prints takes the
 matrices, and ``lgv_determinant`` counts by the LGV matrix.  They live
 here, not in ``paths``, so that a determinant count loads neither the path,
 tableau and chain models nor ``dataclasses``; ``paths`` still binds both
-names.  The LGV matrix and D2 read their entries one by one from
-``delannoy_D`` and ``delannoy_H``.  D1(k; n), at any rational n = p/q, is
-built whole by ``d1_rows`` instead: one table of D(a, n-1-j) * q^a a!,
-a = 0..2k-1, j = 0..k-1 (scale 1 at an integer n, so the table stays plain
-``int``), filled by two recurrences in a few ``int`` operations per entry.
-Both recurrences are polynomial identities in the second argument, so they
-hold at every rational n.  ``d_submatrix(k, n, 1)`` divides those rows by
-their scales.
+names.  The LGV matrix reads its entries one by one from ``delannoy_D``
+and ``delannoy_H``.  Both staircase matrices, D1(k; n) at any rational n
+and D2(k; n) at an integer n, read theirs off one ``int`` table of
+D(a, n-1-j) that two recurrences fill (``_delannoy_table``).  Nothing here
+keeps state between calls: a caller that looks the same values up again
+and again caches them itself.
 
 The brute-force counters walk the step set directly and serve as
 independent oracles for the closed forms.
 """
 
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate
 from math import comb, factorial
 from operator import mul
@@ -45,15 +42,8 @@ from .partitions import Partition, check_partition, pad
 def delannoy_D(i: int, j: Exact) -> Exact:
     """Sum over l of C(i,l) C(j,l) 2^l; counts N/NE/E paths to (i,j) when
     i, j are non-negative integers.  Returns 0 for i < 0."""
-    # guard and canonicalize before the cache so float keys never coalesce
-    # with exact ones; an int j is already canonical
     if type(j) is not int:
         j = normalize(as_fraction(j))
-    return _delannoy_D(i, j)
-
-
-@cache
-def _delannoy_D(i: int, j: Exact) -> Exact:
     if i < 0:
         return 0
     if isinstance(j, int):
@@ -73,7 +63,6 @@ def _delannoy_D(i: int, j: Exact) -> Exact:
     return normalize(Fraction(num, q**i * factorial(i)))
 
 
-@cache
 def delannoy_H(i: int, j: int) -> int:
     """H(i,j) = D(i,j) + D(i-1,j)."""
     return delannoy_D(i, j) + delannoy_D(i - 1, j)
@@ -113,7 +102,8 @@ def d_submatrix(k: int, n: Exact, case: int) -> Matrix:
     Case 1 uses entries D(k-2i+j, n-j-1) for 0 <= i,j <= k-1 with the
     polynomial extension of D, so n may be any rational; they are the rows
     of ``d1_rows`` divided by their scales.  Case 2 uses H(2j-i, i+n-k-1)
-    for 1 <= i,j <= k and needs integer n.
+    for 1 <= i,j <= k and needs integer n, where ``_delannoy_table`` has
+    scale 1, so its entries are plain ``int`` sums of two table entries.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
@@ -127,9 +117,12 @@ def d_submatrix(k: int, n: Exact, case: int) -> Matrix:
             if n.denominator != 1:
                 raise ValueError("the H matrix is defined for integer n only")
             n = int(n)
+        # h[col][a] = D(a, y) + D(a-1, y) = H(a, y) at y = n-1-col, with
+        # D(-1, y) = 0; i+n-k-1 is column k-i, and a = 2j-i < 2k
+        h = [[x + y for x, y in zip(d, [0, *d])] for d in _delannoy_table(k, n)[0]]
         return Matrix(
             [
-                [delannoy_H(2 * j - i, i + n - k - 1) for j in range(1, k + 1)]
+                [h[k - i][a] if (a := 2 * j - i) >= 0 else 0 for j in range(1, k + 1)]
                 for i in range(1, k + 1)
             ]
         )
@@ -140,12 +133,34 @@ def d1_rows(k: int, n: Exact) -> tuple[list[list[int]], list[int]]:
     """D1(k; n) as ``int`` rows over positive row scales: entry (i, j),
     D(k-2i+j, n-j-1), equals ``rows[i][j] / scales[i]`` for any rational n.
 
-    For n = p/q in lowest terms the rows are read off one table
-    N[a][j] = D(a, y_j) * c_a, y_j = n-1-j, for a = 0..2k-1 and j = 0..k-1.
-    The scale is c_a = f_1 ... f_a with f_a = a q when q > 1, and c_a = 1
-    (f_a = 1) when n is an integer, so that at an integer n every row is a
-    row of plain ``int`` entries over scale 1.  Two recurrences fill the
-    table, a few ``int`` operations per entry:
+    Row i reads its entries off ``_delannoy_table(k, n)``.  Its first
+    arguments a = k-2i+j are at most 2k-2i-1, so it is lifted to the scale
+    c_(2k-2i-1), which every c_a with a smaller a divides (1 at an integer n).
+    """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    table, c = _delannoy_table(k, n)
+    scales = [c[2 * k - 2 * i - 1] for i in range(k)]
+    rows = [
+        [
+            table[j][a] * (scale // c[a]) if (a := k - 2 * i + j) >= 0 else 0
+            for j in range(k)
+        ]
+        for i, scale in enumerate(scales)
+    ]
+    return rows, scales
+
+
+def _delannoy_table(k: int, n: Exact) -> tuple[list[list[int]], list[int]]:
+    """``table[j][a]`` = N[a][j] = D(a, y_j) * c_a as ``int``s, y_j = n-1-j,
+    for a = 0..2k-1 and j = 0..k-1, and the scales ``c``.
+
+    D1(k; n) reads D(k-2i+j, y_j), and D2(k; n) reads H(2j-i, y_(k-i)) =
+    D(a, y) + D(a-1, y) at a = 2j-i; both stay inside a < 2k and j < k, so
+    this one table serves both.  For n = p/q in lowest terms the scale is
+    c_a = f_1 ... f_a with f_a = a q when q > 1, and c_a = 1 (f_a = 1) when
+    n is an integer.  Two recurrences fill the table, a few ``int``
+    operations per entry:
 
     - column 0 by a D(a, y) = (2y+1) D(a-1, y) + (a-1) D(a-2, y), which
       sum_a D(a, y) x^a = (1+x)^y / (1-x)^(y+1) gives; scaled,
@@ -158,12 +173,8 @@ def d1_rows(k: int, n: Exact) -> tuple[list[list[int]], list[int]]:
 
     For each a, both sides of either recurrence are polynomials in y that
     agree at every integer y >= 1, where D counts lattice paths; so each is
-    a polynomial identity and holds at every rational y.  Row i, whose first
-    arguments are a = k-2i+j <= 2k-2i-1, is lifted to the scale c_(2k-2i-1),
-    which every c_a with a smaller a divides.
+    a polynomial identity and holds at every rational y.
     """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
     if type(n) is not int:
         n = normalize(as_fraction(n))
     p, q, size = n.numerator, n.denominator, 2 * k
@@ -180,17 +191,7 @@ def d1_rows(k: int, n: Exact) -> tuple[list[list[int]], list[int]]:
         for f_a, up, up_left in zip(f[1:], prev[1:], prev):
             column.append(up - f_a * (up_left + column[-1]))
         table.append(column)
-    rows, scales = [], []
-    for i in range(k):
-        scale = c[2 * k - 2 * i - 1]
-        rows.append(
-            [
-                table[j][a] * (scale // c[a]) if (a := k - 2 * i + j) >= 0 else 0
-                for j in range(k)
-            ]
-        )
-        scales.append(scale)
-    return rows, scales
+    return table, c
 
 
 def count_D_paths_bruteforce(i: int, j: int) -> int:

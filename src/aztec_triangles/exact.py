@@ -86,10 +86,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.entries]!r})"
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.entries[i][j]
-
     def determinant(self) -> Exact:
         """Exact determinant by fraction-free (Bareiss) elimination.
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
 
-from .delannoy import d1_rows, d_submatrix, lgv_determinant
+from .delannoy import d1_rows, d_submatrix, delannoy_D, lgv_determinant
 from .exact import Exact, Matrix, binomial, normalize, pochhammer
 from .formulas import leading_coefficient, product_main
 
@@ -187,13 +187,9 @@ def _double_sum(k: int, s: int, t: int) -> Exact:
     """id1 (t = 0) or id2 (t = 1)."""
     if not (s >= 1 and k >= 4 * s - 1 + 2 * t):
         raise ValueError(f"illegal id{1 + t} parameters {(k, s)}")
-    total = Fraction(0)
+    # the first sum is sum_i head(s, i, t) D(k-2i, x); D(a, x) = 0 for a < 0
     x = -k + 2 * s - Fraction(3, 2) + t
-    x_terms = [binomial(x, l) * 2**l for l in range(k + 1)]
-    for i in range(k):
-        factor = _head(s, i, t)
-        for l in range(k - 2 * i + 1):
-            total += factor * binomial(k - 2 * i, l) * x_terms[l]
+    total = sum(_head(s, i, t) * delannoy_D(k - 2 * i, x) for i in range(k))
     for r in range(1, s + 1):
         front = (
             Fraction((-1) ** (k - t))
@@ -347,11 +343,13 @@ def suite_delannoy(limit: int = 20) -> list[dict]:
     from .delannoy import (
         count_D_paths_bruteforce,
         count_H_paths_bruteforce,
-        delannoy_D as D,
-        delannoy_H as H,
+        delannoy_H,
         half_shift_expansion,
     )
     from .errors import IdentityError
+
+    # the identities look the same values up again and again, for this call
+    D, H = cache(delannoy_D), cache(delannoy_H)
 
     def square(lo, hi):
         return [(i, j) for i in range(lo, hi + 1) for j in range(lo, hi + 1)]

@@ -59,6 +59,20 @@ def test_count_methods_agree(capsys):
         assert len(results) == 1, mu
 
 
+def test_count_prints_any_size(capsys):
+    # staircase 130's count has more digits than Python's default limit on
+    # int-to-str conversion (4,300)
+    from aztec_triangles.formulas import product_case1
+
+    mu = ",".join(map(str, range(130, 0, -1)))
+    code, out, err = run_cli(
+        capsys, "count", "--mu", mu, "--case", "1", "--method", "product"
+    )
+    assert code == 0 and err == ""
+    assert len(out.strip()) >= 4301
+    assert out == f"{product_case1(130, 260)}\n"
+
+
 def test_count_product_rejects_general_mu(capsys):
     code, _, err = run_cli(
         capsys, "count", "--mu", "3,1", "--case", "1", "--method", "product"
@@ -415,3 +429,28 @@ def test_package_root_is_lazy_and_complete():
         assert name in dir(aztec_triangles)
     with pytest.raises(AttributeError):
         aztec_triangles.double_factorial
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (("count", "--mu", "2,1", "--case", "1"), {"delannoy.entry", "exact.det"}),
+        (("verify", "--suite", "detprop", "--kmax", "2"),
+         {"verify.detprop", "exact.det"}),
+    ],
+    ids=["count", "verify-detprop"],
+)
+def test_benchmark_trace_finds_its_layers(tmp_path, argv, layers):
+    # perfbench/trace_child.py wraps package functions by name; a renamed or
+    # removed one would leave its layer silently empty
+    out = tmp_path / "spans.jsonl"
+    child = subprocess.run(
+        [sys.executable, str(SRC.parent / "perfbench" / "trace_child.py"),
+         "time", str(out), "t", "--", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    names = {json.loads(line)[0] for line in out.read_text().splitlines()}
+    assert layers <= names, names

@@ -172,3 +172,19 @@ def test_d1_rows_match_reference_entries():
                 assert [list(map(type, row)) for row in entries] == [
                     list(map(type, row)) for row in reference
                 ]
+
+
+def test_d2_matches_reference_entries():
+    # D2(k; n) read off the recurrence table equals H(2j-i, i+n-k-1) from
+    # the closed form, entry by entry, as plain ints; an integer n given as
+    # a Fraction gives the same matrix
+    for k in range(11):
+        for n in range(-12, 13):
+            reference = tuple(
+                tuple(delannoy_H(2 * j - i, i + n - k - 1) for j in range(1, k + 1))
+                for i in range(1, k + 1)
+            )
+            for given in (n, Fraction(2 * n, 2)):
+                entries = d_submatrix(k, given, 2).entries
+                assert entries == reference, (k, given)
+                assert all(type(x) is int for row in entries for x in row)

@@ -130,7 +130,7 @@ def test_two_indexings_same_determinant():
                 ]
             )
             assert other == Matrix(
-                [[m[k - 1 - b, k - 1 - a] for b in range(k)] for a in range(k)]
+                [[m.entries[k - 1 - b][k - 1 - a] for b in range(k)] for a in range(k)]
             )
             assert m.determinant() == other.determinant()
 
@@ -140,11 +140,11 @@ def test_entry_conventions():
     m = d_submatrix(3, Fraction(7, 3), 1)
     for i in range(3):
         for j in range(3):
-            assert m[i, j] == delannoy_D(3 - 2 * i + j, Fraction(7, 3) - j - 1)
+            assert m.entries[i][j] == delannoy_D(3 - 2 * i + j, Fraction(7, 3) - j - 1)
     m = d_submatrix(3, 4, 2)
     for i in range(1, 4):
         for j in range(1, 4):
-            assert m[i - 1, j - 1] == delannoy_H(2 * j - i, i + 4 - 3 - 1)
+            assert m.entries[i - 1][j - 1] == delannoy_H(2 * j - i, i + 4 - 3 - 1)
 
 
 def test_path_points():
