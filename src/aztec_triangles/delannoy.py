@@ -34,7 +34,6 @@ from itertools import accumulate
 from math import comb, factorial
 from operator import mul
 
-from .errors import IdentityError
 from .exact import Exact, Matrix, as_fraction, binomial, normalize
 from .partitions import Partition, check_partition, pad
 
@@ -231,21 +230,11 @@ def _count_paths(x: int, y: int, forbidden: tuple[int, int] | None) -> int:
 
 
 def half_shift_expansion(i: int, j: int) -> Exact:
-    """Expand D(i, j+1/2) as an alternating binomial combination of H values.
-
-    Returns the sum over l of (-1)^l C(-1/2,l) H(i-2l, j) and checks it
-    against the direct evaluation of D(i, j+1/2), raising IdentityError on
-    any mismatch.
-    """
+    """The sum over l of (-1)^l C(-1/2,l) H(i-2l, j), which expands
+    D(i, j+1/2) in H values; ``verify.suite_delannoy`` checks the two agree."""
     if i < -1 or j < -1:
         raise ValueError("need i >= -1 and j >= -1")
     total = Fraction(0)
     for l in range((i + 1) // 2 + 1):
         total += (-1) ** l * binomial(Fraction(-1, 2), l) * delannoy_H(i - 2 * l, j)
-    total = normalize(total)
-    direct = delannoy_D(i, j + Fraction(1, 2))
-    if total != direct:
-        raise IdentityError(
-            f"half-shift expansion failed at ({i},{j}): {total} != {direct}"
-        )
-    return total
+    return normalize(total)

@@ -156,6 +156,7 @@ def enumerate_tilings(domain: Domain, cap: int | None = None) -> list[Tiling]:
             covered[j] = 0
 
     place(0)
+    del place  # it refers to itself; free the walk's state now, not at the next gc
     return tilings
 
 
@@ -235,6 +236,9 @@ def sequence_to_tiling(seq: PartitionSequence) -> Tiling:
 #   dominoes:  'O'/'o' start/second cell of an even domino (holes),
 #              'X'/'x' start/second cell of an odd domino (particles),
 #              drawn over the glyphs of the cells they cover
+# SVG, written as text: a <rect> per cell (dashed for '~' squares), then per
+# domino a <rect> around it and a <circle> on each cell (white holes, black
+# particles).
 # ---------------------------------------------------------------------------
 
 _SVG_UNIT = 24
@@ -276,56 +280,41 @@ def _ascii(domain: Domain, dominoes) -> str:
 
 
 def _svg(domain: Domain, dominoes) -> str:
-    # ElementTree is imported only where SVG is drawn: every CLI call would
-    # pay for importing it at module top.
-    import xml.etree.ElementTree as ET
     ell = domain.num_diagonals
     width = max((domain.lengths[d] for d in range(ell)), default=0)
     height = ell - 1 + width if ell else 0
-    root = ET.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        version="1.1",
-        width=str((width + 2) * _SVG_UNIT),
-        height=str((height + 2) * _SVG_UNIT),
-    )
+    tags = []
 
-    def rect(x, y, w, h, fill, stroke, stroke_width, dash=None):
+    def rect(x, y, w, h, fill, stroke_width, stroke="#888888", dash=""):
         # (x, y) is the top-left unit square; w and h count unit squares
-        attrs = {
-            "x": str((x + 1) * _SVG_UNIT),
-            "y": str((height - y) * _SVG_UNIT),
-            "width": str(w * _SVG_UNIT),
-            "height": str(h * _SVG_UNIT),
-            "fill": fill,
-            "stroke": stroke,
-            "stroke-width": stroke_width,
-        }
-        if dash:
-            attrs["stroke-dasharray"] = dash
-        ET.SubElement(root, "rect", attrs)
+        dash = f' stroke-dasharray="{dash}"' if dash else ""
+        tags.append(
+            f'<rect x="{(x + 1) * _SVG_UNIT}" y="{(height - y) * _SVG_UNIT}" '
+            f'width="{w * _SVG_UNIT}" height="{h * _SVG_UNIT}" fill="{fill}" '
+            f'stroke="{stroke}" stroke-width="{stroke_width}"{dash} />'
+        )
 
     for d, p in domain.sorted_cells():
-        x, y = _cell_xy(domain, d, p)
-        rect(x, y, 1, 1, _LIGHT if d % 2 == 0 else _DARK, "#888888", "1")
+        rect(*_cell_xy(domain, d, p), 1, 1, _LIGHT if d % 2 == 0 else _DARK, 1)
     for d, p in _ghost_cells(domain):
-        x, y = _cell_xy(domain, d, p)
-        rect(x, y, 1, 1, "none", "#888888", "1", dash="4 3")
+        rect(*_cell_xy(domain, d, p), 1, 1, "none", 1, dash="4 3")
     for domino in dominoes:
         (x1, y1), (x2, y2) = (_cell_xy(domain, d, p) for d, p in domino.cells())
         rect(min(x1, x2), max(y1, y2), abs(x2 - x1) + 1, abs(y2 - y1) + 1,
-             "none", "#1f4e9c", "3")
-        for cx, cy in ((x1, y1), (x2, y2)):
-            ET.SubElement(
-                root,
-                "circle",
-                cx=str((cx + 1) * _SVG_UNIT + _SVG_UNIT // 2),
-                cy=str((height - cy) * _SVG_UNIT + _SVG_UNIT // 2),
-                r=str(_SVG_UNIT // 6),
-                fill=_LIGHT if domino.even else "#000000",
-                stroke="#000000",
+             "none", 3, stroke="#1f4e9c")
+        fill = _LIGHT if domino.even else "#000000"
+        for x, y in ((x1, y1), (x2, y2)):
+            tags.append(
+                f'<circle cx="{(x + 1) * _SVG_UNIT + _SVG_UNIT // 2}" '
+                f'cy="{(height - y) * _SVG_UNIT + _SVG_UNIT // 2}" '
+                f'r="{_SVG_UNIT // 6}" fill="{fill}" stroke="#000000" />'
             )
-    return ET.tostring(root, encoding="unicode") + "\n"
+    svg = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{(width + 2) * _SVG_UNIT}" height="{(height + 2) * _SVG_UNIT}"'
+    )
+    # with no cells there is no tag inside, and the root closes itself
+    return f"{svg}>{''.join(tags)}</svg>\n" if tags else f"{svg} />\n"
 
 
 def render(obj, fmt: str) -> str:

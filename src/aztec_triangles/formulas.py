@@ -5,8 +5,8 @@
 ``product_main`` is the fully factored form valid for arbitrary rational n,
 whose value at integers matches product_case1; it is a polynomial in n whose
 top coefficient, ``leading_coefficient(k)``, is defined here once.
-``df_formula``/``g_formula`` are the size-n Aztec triangle count in its two
-guises F(n) and G(n).
+``df_formula`` is the size-n Aztec triangle count F(n), checked against
+``g_formula``, G(n), which is ``product_case1`` at k = n, ell = 2n.
 
 All index ranges are written with their explicit floor bounds; the "products
 over all i >= 0" are finite only because later factor ranges are empty.
@@ -58,10 +58,6 @@ def product_case2(k: int, n: int) -> int:
     return value
 
 
-def _chi(condition: bool) -> int:
-    return 1 if condition else 0
-
-
 def leading_coefficient(k: int) -> Exact:
     """2^(k^2) / prod_(i=1..k) (i)_i, the top coefficient of det D1(k; n)
     and of ``product_main(k, n)``."""
@@ -75,7 +71,7 @@ def product_main(k: int, n: Exact) -> Exact:
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     n = as_fraction(n)
-    even, odd = _chi(k % 2 == 0), _chi(k % 2 == 1)
+    even, odd = 1 - k % 2, k % 2
     value = leading_coefficient(k)
     for s in range(k - 1):
         e = min((s + 1 + even) // 2, (k - s) // 2)
@@ -108,19 +104,8 @@ def df_formula(n: int) -> int:
 
 
 def g_formula(n: int) -> int:
-    """The staircase product specialized to mu = (n,...,1), written with the
-    shifted index ranges of the F(n) = G(n) comparison."""
+    """G(n): the Case 1 staircase product at k = n, ell = 2n, mu = (n,...,1),
+    whose factor ranges become (4i+1)_(n-2i) and (3n-2i)_(n-2i-1)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    num = 1
-    for i in range((n - 1) // 2 + 1):  # s in [4i+1, n+2i]
-        num *= pochhammer(4 * i + 1, n - 2 * i)
-    for i in range((n - 2) // 2 + 1):  # s in [3n-2i, 4n-4i-2]
-        num *= pochhammer(3 * n - 2 * i, n - 2 * i - 1)
-    den = 1
-    for i in range(1, n):
-        den *= (2 * i + 1) ** (n - i)
-    value = normalize(Fraction(num, den))
-    if not isinstance(value, int):
-        raise IdentityError(f"G({n}) is not an integer: {value}")
-    return value
+    return product_case1(n, 2 * n)

@@ -176,6 +176,7 @@ def _single_paths(start, end, ban_final_east, budget):
             prefix.pop()
 
     walk([], dx0, dy0)
+    del walk  # it refers to itself; free the walk's state now, not at the next gc
     return out
 
 
@@ -212,4 +213,5 @@ def enumerate_path_families(
             used.difference_update(pts)
 
     assemble([], set(), 1)
+    del assemble  # it refers to itself; free the walk's state now, not at the next gc
     return families

@@ -130,6 +130,7 @@ def chain_search(mu, case, cap, value_caps, step, fold, start) -> list:
             extend(fold(state, payload), nu, i + 1)
 
     extend(start, (), 1)
+    del extend  # it refers to itself; free the walk's state now, not at the next gc
     return out
 
 

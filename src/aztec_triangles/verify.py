@@ -33,7 +33,10 @@ from fractions import Fraction
 from functools import cache
 from math import factorial, lcm, prod
 
-from .delannoy import d1_rows, d_submatrix, delannoy_D, lgv_determinant
+from .delannoy import (
+    count_D_paths_bruteforce, count_H_paths_bruteforce, d1_rows, d_submatrix,
+    delannoy_D, delannoy_H, half_shift_expansion, lgv_determinant,
+)
 from .exact import Exact, Matrix, binomial, normalize, pochhammer
 from .formulas import leading_coefficient, product_main
 
@@ -340,26 +343,11 @@ def suite_kernels(kmax: int = 8) -> list[dict]:
 
 
 def suite_delannoy(limit: int = 20) -> list[dict]:
-    from .delannoy import (
-        count_D_paths_bruteforce,
-        count_H_paths_bruteforce,
-        delannoy_H,
-        half_shift_expansion,
-    )
-    from .errors import IdentityError
-
     # the identities look the same values up again and again, for this call
     D, H = cache(delannoy_D), cache(delannoy_H)
 
     def square(lo, hi):
         return [(i, j) for i in range(lo, hi + 1) for j in range(lo, hi + 1)]
-
-    def half_shift(i, j):
-        try:
-            half_shift_expansion(i, j)
-        except IdentityError:
-            return False
-        return True
 
     grid = square(0, limit)
     i_from_1 = [(i, j) for i in range(1, limit + 1) for j in range(limit + 1)]
@@ -389,7 +377,8 @@ def suite_delannoy(limit: int = 20) -> list[dict]:
          lambda i, j: D(i, j) == D(i - 1, j) + D(i - 1, j - 1) + D(i, j - 1)),
         ("D(i,-1/2) base case", limit, [(i, -_HALF) for i in range(limit + 1)],
          lambda i, j: D(i, j) == (0 if i % 2 else abs(binomial(-_HALF, i // 2)))),
-        ("half-shift expansion", "[-1,12]^2", square(-1, 12), half_shift),
+        ("half-shift expansion", "[-1,12]^2", square(-1, 12),
+         lambda i, j: half_shift_expansion(i, j) == D(i, j + _HALF)),
     ]
     return [
         _record(

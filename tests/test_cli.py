@@ -251,6 +251,102 @@ def test_render_digest(capsys, spec):
     assert hashlib.sha256(out.encode()).hexdigest() == RENDER_DIGESTS[spec]
 
 
+# sha256 of `render --format svg` stdout for every shape of
+# small_partitions(2, 3) in both cases: (the domain, tiling index 0); taken
+# while SVG was still serialised through xml.etree.
+SVG_DIGESTS = {
+    ("", 1): ("db84521381fdec30bb52dcd901debfe4a426c719f7840ddf05dae4bba09e355a",
+              "db84521381fdec30bb52dcd901debfe4a426c719f7840ddf05dae4bba09e355a"),
+    ("", 2): ("db84521381fdec30bb52dcd901debfe4a426c719f7840ddf05dae4bba09e355a",
+              "db84521381fdec30bb52dcd901debfe4a426c719f7840ddf05dae4bba09e355a"),
+    ("2", 1): ("3e87bf5512b1db491fff882e381742f7efa8ed5f8b3a3813fb79cbf54ca40d0e",
+               "6b8e703a4d62b50f54dcccd41e320b43882ce6918b33f45c7810d57eb251b407"),
+    ("2", 2): ("e7116a1e790dba4e25dc396a88de19ac92f9a06a72625779c8507b6e2fae74c9",
+               "55e9a6e48c323548f0cb39b6198354ddb7a370b418083ecc538d675a4838b520"),
+    ("1", 1): ("d7b9a22c6e4aa64d8cf4c3dbf1c700a50326865b7a4dbfc0c33160104753aa99",
+               "ebc1ec1c32baabef43c360487cb0a4d097f2e9aed5626acfc47022019957fef1"),
+    ("1", 2): ("cfbf30fb1beffa18877da1bdfe779bdf15a21bb0ce9fe93776799af504515806",
+               "c24fe047493058e015d4d7b344d13c099bd476224eaac5c191616d6869de9a25"),
+    ("0", 1): ("dc510948bc1aaa46159f4f68b4c232b6be985a42d9c6cda72f8942e5e9e3d95b",
+               "dc510948bc1aaa46159f4f68b4c232b6be985a42d9c6cda72f8942e5e9e3d95b"),
+    ("0", 2): ("ac4ee86e6e2a8b09f91fa8d1f5d597e64f36f5a8c39a17d0f8204536d43c9a80",
+               "f6fd254ce2d32a519c120ba8e046d459e8bae829c3b4825a9fca58c7ca6164c6"),
+    ("2,2", 1): ("521f01c21c64b8dc94b2e6d4ccbb0abe3befd44c7be1d0bf85fafcbac64353a8",
+                 "29de0c3fa8ac48c28f6ef94492bf79d29b7bbb46223e4171d36aff684e843c49"),
+    ("2,2", 2): ("a40974d0f101238fe9f4f16ade3eefd038a232062a93754f74fd607ed2fa0bf0",
+                 "55ea4e0f65d010a6ed02f917293a8382587b6c034668a01c828824511ca54661"),
+    ("2,1", 1): ("c8f948799a38d31458b4683ab6229bcac17870ee86a7e3320f83a4843e33c274",
+                 "71a53eb4c8a407121bf63430bb7063f2e5568b068a8ecef9cb5768271ae9d197"),
+    ("2,1", 2): ("489db19b38a0f884c2ff2c866919c08dd649f4d51e985e9cec392cf9c6e16a64",
+                 "7ec57d81fd42995769f26407e1fdbc2d0b1bdf0cfcba039c9e0c9b19f1b4ca7d"),
+    ("2,0", 1): ("a2ff59dbc4457a9e825069ee6588794f1c43ebfedb746d0080a8ef458d4ed600",
+                 "c925e6a9446efcbbf5265eb088868b58ed8b791e869f29817c6313a6f9d8399c"),
+    ("2,0", 2): ("b4f0f179c9c278feef3e7ce642eac09a9e54cecac2df577c657a4b047e54c0ad",
+                 "f735cd6c3c228e59e85e467a77b91b0f34da3b03c7de0e6ce685e429171ce7f3"),
+    ("1,1", 1): ("defe32cd3af562c3dbc399e8602e2a8e2d78161344531874fffa1f66c303f0ae",
+                 "43f3c64d70e40fcb2a9fd5c22ea72b1e142541ba8ace995eadf8f7b2b06d531d"),
+    ("1,1", 2): ("6b09977e2a96f6ead08d73e781d3dc67647a67a8ce1b4e05096e003c0e5dadb3",
+                 "8fbbc1bcc212d3c8939afffffbd677b98f97f5bfeca320ef20b07d4702141cc8"),
+    ("1,0", 1): ("10f8623e41c897ba096105b42cada0811e045a62ac9c7f89229fc36aecfb004e",
+                 "1c5920c375db8d94f91671b25424d6ee5bf00af0459f0836700ec6c4bbede2e0"),
+    ("1,0", 2): ("4e8b880dfcebc8a3ba8614a58c9afa693d0483a84c913effe811b1bb6168fa5a",
+                 "b854fea77bcbdfeff80daad5a0954424d2944d0b7ff029924a6ad2c927dbd518"),
+    ("0,0", 1): ("91bfb93c39028402f4f0964a60ed5032b47e5ddf7f59041663399dababac5321",
+                 "5a1ebc467524c0fa755378d528616491989a28396a77481d2c8bfdefdffc14ca"),
+    ("0,0", 2): ("7ce64bcd06995ec57cca2cc37d14544449bd00730be18debd9c3c0c5d9895032",
+                 "080acd5ee2308c3c53b1b4cc125efe05157b2bc07b487b7c0969f1854169ae23"),
+    ("2,2,2", 1): ("3fed82f2bd294f85287a3a8a540ff6d31e56215fa879e675cbfbe0948b47b533",
+                   "7f14c27934acd2134ff6c07239a9eb0cb85469e7d94823af20194173c5de92a2"),
+    ("2,2,2", 2): ("a8edf8da2ee244715d95692eac38e63b52f01407ffc07324e4a99c0cb8056a54",
+                   "cdda0182ba909d60b554f035a8c8d4a841775981cd1ea6ddfa64ad787417daa8"),
+    ("2,2,1", 1): ("781751440c10fd9a92e8c8a37ecba6194d790e54e6b1b068ebe8e21ed411ea0c",
+                   "f637d3a9e13e81dd79b47058832a650c4c5a68cdaf71bf1831704cb2db5b2138"),
+    ("2,2,1", 2): ("4a5de157a1c720bbc3c255a0f6acfedcc613f1c0c5fa25c2566b89e86f41ffb1",
+                   "1255cd688ef9d03b0d7f410fe93e1d6265826808b60a443791f7c4606cdd7df9"),
+    ("2,2,0", 1): ("fe0520bea0b061cd7edcacdc05ccfd08feaa4e1033a9715c989b155a609be95b",
+                   "4997ba6fdcb5622f71bfa69d8d0dcf22b93125141899631cf115b802ffbe9b7d"),
+    ("2,2,0", 2): ("2fb732bc160f9614a8ec0d0125a9ed2f8434ecf292c03f7764c15de01f010a05",
+                   "29239f7d5f68c968c6e67feb60609dec2812abb39e01387914bc699bfb97b5cb"),
+    ("2,1,1", 1): ("6812c0fbdaf8b476349376401c9d29d2c2f189d0df4b3bd14093b21658a3e6c2",
+                   "e658ab86b131aabb005a3c07bd1e45ff7316ba469125452a114dd208aa3314b4"),
+    ("2,1,1", 2): ("6e699ad924965074db1b2fd049c0c08f3d4c7a59943ed15c7ca5326cbac74357",
+                   "167c09611db346b00f51f60edaef16a5f050872a6fd916d3fe949a9ce86b2118"),
+    ("2,1,0", 1): ("dbed37a5358e499bdb066da05e22315308df1893cdfa76949c1032e51b18ea11",
+                   "dc75e67fa8076c0b278c4b9bd7c4ff26267816beba17cb433154397f966cad4d"),
+    ("2,1,0", 2): ("dd9a06bf5969f75c091fd957d3231f10fd29b001c699b482e83da4ab36d24458",
+                   "234592e7800a0d94606180a9090384ce469944d03e4c286cf070b03def6bf123"),
+    ("2,0,0", 1): ("d79cd02782c4d3fc873dd99f6eb95f1d27d43ff099e0a99c90a9244d6d70feb6",
+                   "67544fada9a1ca3f82b2895a76b1dea019da24613aa6ce187f8e43b43ab2e635"),
+    ("2,0,0", 2): ("a5cc98e197dda0004143f8147ea168bb527a99cbf66368d95281df05310c35d8",
+                   "90ae4a88eb5670b042d787b70b2b430d13e282fa218893dc805df04daaa56137"),
+    ("1,1,1", 1): ("f63d745d082aa9a645cbdec8d9f1844e98b8febb9eddb27444c226a92e56ab51",
+                   "897d48c3926d24cb540c3d779c968b51f895ad06056418794264e49782e31a54"),
+    ("1,1,1", 2): ("faa0a8506d64c47ae3d88b154b130fc61034c0418ba999d84bffdb9792ca0abc",
+                   "4ac6ccb15e852584b890a95daeed32a7ad926fd334769c5704d9999d14caaa4e"),
+    ("1,1,0", 1): ("023bce2cd015d9f9d487b0408eb8fbf19e3c1c13e51a6d3e67a84c271c9c7667",
+                   "f50a48ceda776fd561ebce3b64f8ff0404e006cbfdc028d3274005a64c92154f"),
+    ("1,1,0", 2): ("b7bee320d1695eb11d7f1661c7367d90c5e1db0de9ac56c852e1f7e7accb9836",
+                   "037f7118546aed34b360c4e366f148c90628992a8f25ca481b2ea3adcf71135e"),
+    ("1,0,0", 1): ("d65efcb36bb376f2d0425f9b301bdbeac6067d6cfeaea5dd322ebc05a84a0bca",
+                   "96101ba1765a739f0a3339e6428984430969b582194e1889483a5a55a8fe7cc2"),
+    ("1,0,0", 2): ("612a2bf30528f5df550748a5f5ff9bf893d07af506ea21f87dd188d9fcd4cdf5",
+                   "229c4c5c1ba44b2875ff22ebe94edb16fd295cdd10baed6e59092d240bef609c"),
+    ("0,0,0", 1): ("ebe97ed32602211666d8b63804c752b27d3d4770e6a85fda1da6f100b255c283",
+                   "3157fe0c8d66e5d80e77574419e49702cbf6d95bb530dcf2ee7908ca9844c89b"),
+    ("0,0,0", 2): ("63e0c450ae86cb76588987bc5beed6478d559bdad23008c96535828b1405217c",
+                   "b34904f5e4dc781d6ac8abbb0fd6741f785b0b4be37f7c63786ff1823bfa6735"),
+}
+
+
+@pytest.mark.parametrize("mu, case", sorted(SVG_DIGESTS))
+def test_svg_digest(capsys, mu, case):
+    argv = ["render", "--mu", mu, "--case", str(case), "--format", "svg"]
+    for extra, digest in zip(([], ["--tiling-index", "0"]), SVG_DIGESTS[mu, case]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_render_bad_index(capsys):
     code, _, err = run_cli(
         capsys,

@@ -1,9 +1,12 @@
+import gc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import small_partitions
 
+from aztec_triangles.domains import build_domain, enumerate_tilings
 from aztec_triangles.errors import CapExceeded
 from aztec_triangles.partitions import (
     is_horizontal_strip,
@@ -11,6 +14,7 @@ from aztec_triangles.partitions import (
     is_vertical_strip,
     normalize,
 )
+from aztec_triangles.paths import enumerate_path_families
 from aztec_triangles.sequences import (
     PartitionSequence,
     chain_length,
@@ -19,6 +23,7 @@ from aztec_triangles.sequences import (
     enumerate_sequences,
     validate_sequence,
 )
+from aztec_triangles.tableaux import enumerate_tableaux
 
 CHAIN_5321 = ((), (2,), (3,), (3, 1), (3, 2), (4, 3, 2), (5, 3, 2), (5, 3, 2, 1))
 CHAIN_EXDOMAIN = ((), (1,), (2,), (3, 1), (3, 1), (3, 1), (3, 2, 1), (3, 2, 2, 1))
@@ -199,3 +204,26 @@ def test_validate_matches_enumeration():
                     (seq.mu, seq.case, tuple(map(normalize, chain))) in listed
                 )
                 assert validate_sequence(PartitionSequence(seq.case, seq.mu, chain)) == expect
+
+
+
+@pytest.mark.parametrize(
+    "enumerate_model",
+    [
+        enumerate_sequences,
+        enumerate_tableaux,
+        enumerate_path_families,
+        lambda mu, case: enumerate_tilings(build_domain(mu, case)),
+    ],
+    ids=["sequences", "tableaux", "paths", "tilings"],
+)
+def test_search_leaves_no_garbage_cycles(enumerate_model):
+    # each search walks by a closure that refers to itself; the enumerator
+    # must break that cycle itself, so no state waits for the cyclic gc
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(enumerate_model((3, 2, 1), 2)) == 352
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

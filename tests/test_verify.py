@@ -260,3 +260,15 @@ def test_failing_report_carries_residual(monkeypatch):
     assert suite_id1()[0] == {
         "suite": "id1", "params": {"k": 3, "s": 1}, "pass": False, "residual": "-2/5"
     }
+
+
+def test_half_shift_row_fails_on_wrong_expansion(monkeypatch):
+    # the half-shift row compares the expansion with D(i, j+1/2); a wrong
+    # expansion must fail that row alone
+    monkeypatch.setattr(
+        verify, "half_shift_expansion", lambda i, j: verify.delannoy_D(i, j + HALF) + 1
+    )
+    records = verify.suite_delannoy(6)
+    assert len(records) == 11
+    failed = [r["params"]["identity"] for r in records if not r["pass"]]
+    assert failed == ["half-shift expansion"]
