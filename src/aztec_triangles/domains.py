@@ -21,8 +21,9 @@ correspondence produces the partition chain.
 """
 
 from dataclasses import dataclass
+from operator import add
 
-from .errors import SearchBudget
+from .errors import SearchBudget, memo_search
 from .partitions import (
     HOLE,
     PARTICLE,
@@ -39,7 +40,7 @@ VERTICAL = "V"
 HORIZONTAL = "H"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Domain:
     case: int
     mu: Partition
@@ -58,7 +59,7 @@ class Domain:
         return sorted(self.cells)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Domino:
     d: int
     p: int
@@ -76,7 +77,7 @@ class Domino:
         return {"d": self.d, "p": self.p, "orient": self.orient}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tiling:
     domain: Domain
     dominoes: tuple[Domino, ...]
@@ -120,44 +121,36 @@ def enumerate_tilings(domain: Domain, cap: int | None = None) -> list[Tiling]:
     """Backtracking exact cover over the first uncovered cell in (d, p)
     order; that cell is always the start of some domino.
 
+    The walk runs on ``memo_search``, whose state, the bitmask of covered
+    cells, fixes the rest of the walk.  It expands each state once and
+    charges the budget the nodes of the plain walk, repeats included.
+
     Each cell's dominoes are built once, H before V.  Dominoes are placed in
     start-cell order and ``Domino`` orders "H" < "V", so every tiling comes
     out with sorted dominoes and the list comes out sorted by ``t.dominoes``
     without a sort."""
     cells = domain.sorted_cells()
     index = {cell: i for i, cell in enumerate(cells)}
+    # each step covers cell i and its partner: a one-domino payload and two bits
     options = [
         [
-            (Domino(d, p, orient), index[other])
+            ((Domino(d, p, orient),), 1 << i | 1 << index[other])
             for orient, other in ((HORIZONTAL, (d + 1, p + 1)), (VERTICAL, (d + 1, p)))
             if other in index
         ]
-        for d, p in cells
+        for i, (d, p) in enumerate(cells)
     ]
-    budget = SearchBudget("tiling", cap)
-    covered = bytearray(len(cells) + 1)  # last byte stays 0: find() stops there
-    chosen = []
-    tilings = []
 
-    def place(i):
-        budget.spend()
-        i = covered.find(0, i)
+    def successors(covered):
+        i = (~covered & (covered + 1)).bit_length() - 1  # first uncovered cell
         if i == len(cells):
-            tilings.append(Tiling(domain, tuple(chosen)))
-            return
-        # cell i is the first uncovered one, so only its partner needs marking
-        for domino, j in options[i]:
-            if covered[j]:
-                continue
-            covered[j] = 1
-            chosen.append(domino)
-            place(i + 1)
-            chosen.pop()
-            covered[j] = 0
+            return None
+        return [
+            (tile, covered | bits) for tile, bits in options[i] if not covered & bits
+        ]
 
-    place(0)
-    del place  # it refers to itself; free the walk's state now, not at the next gc
-    return tilings
+    found = memo_search(0, successors, add, (), SearchBudget("tiling", cap))
+    return [Tiling(domain, dominoes) for dominoes in found]
 
 
 def _mark_cells(tiling: Tiling) -> dict:

@@ -1,4 +1,4 @@
-"""Shared exceptions and the search budget guarding brute-force enumerators."""
+"""Shared exceptions, and the search budget and engine of the brute-force searches."""
 
 import os
 
@@ -36,7 +36,56 @@ class SearchBudget:
         self.cap = default_cap() if cap is None else cap
         self.used = 0
 
-    def spend(self) -> None:
-        self.used += 1
+    def spend(self, nodes: int = 1) -> None:
+        self.used += nodes
         if self.used > self.cap:
             raise CapExceeded(f"{self.name} search exceeded cap of {self.cap} nodes")
+
+
+def memo_search(root, successors, fold, start, budget: SearchBudget) -> list:
+    """The fold from ``start`` of the payloads on the way to each goal below
+    ``root``, in the order of the plain depth-first walk.
+
+    ``successors(state)`` is None at a goal, else the ``(payload, child)``
+    steps in walk order; a state's subtree depends on the state alone.
+    ``fold(acc, payload)`` must be associative.  Pass 1 expands each state
+    once, keeping its subtree's node count and its live steps (those with
+    a goal below); a step into a state with one live step merges with it.
+    Pass 2 folds along the live steps only.  The budget is charged one node
+    at a state's first visit and its subtree's count at each repeat, so it
+    runs out exactly when the plain walk would, and at once when a repeated
+    subtree is over the cap.
+    """
+    memo = {}  # state -> (nodes of its subtree, live steps or None at a goal)
+
+    def expand(state):
+        entry = memo.get(state)
+        if entry is not None:
+            budget.spend(entry[0])
+            return entry
+        budget.spend()
+        steps = successors(state)
+        size, live = 1, None if steps is None else []
+        for payload, child in steps or ():
+            nodes, below = expand(child)
+            size += nodes
+            if below is None or len(below) > 1:
+                live.append((payload, below))
+            elif below:  # one live step below: jump over the child
+                (more, below), = below
+                live.append((fold(payload, more), below))
+        memo[state] = entry = (size, live)
+        return entry
+
+    out = []
+
+    def emit(live, acc):
+        if live is None:
+            out.append(acc)
+            return
+        for payload, below in live:
+            emit(below, fold(acc, payload))
+
+    emit(expand(root)[1], start)
+    del expand, emit  # they refer to themselves; free the memo now, not at the next gc
+    return out

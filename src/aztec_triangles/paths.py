@@ -15,16 +15,17 @@ here as well.
 """
 
 from dataclasses import dataclass
+from operator import add
 
 from .delannoy import d_submatrix, lgv_matrix  # noqa: F401
-from .errors import SearchBudget
+from .errors import SearchBudget, memo_search
 from .partitions import Partition, check_partition, pad
 from .tableaux import Entry, SuperSymplecticTableau, validate_tableau
 
 _MOVES = {"N": (0, 1), "D": (1, 1), "E": (1, 0)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatticePath:
     start: tuple[int, int]
     steps: str
@@ -43,7 +44,7 @@ class LatticePath:
         return self.points()[-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathFamily:
     case: int
     mu: Partition
@@ -150,34 +151,29 @@ def paths_to_tableau(f: PathFamily) -> SuperSymplecticTableau:
 
 
 def _single_paths(start, end, ban_final_east, budget):
-    """All N/D/E step words from start to end, ascending lexicographic."""
-    out = []
+    """All N/D/E step words from start to end, ascending lexicographic.
+
+    The walk runs on ``memo_search`` with state (dx, dy), the displacement
+    still to go: each is expanded once, and the budget is charged one node
+    per prefix of the plain walk, repeated subtrees included."""
     dx0, dy0 = end[0] - start[0], end[1] - start[1]
     if dx0 < 0 or dy0 < 0:
-        return out
+        return []
 
-    def walk(prefix, dx, dy):
-        budget.spend()
+    def successors(state):
+        dx, dy = state
         if dx == 0 and dy == 0:
-            out.append("".join(prefix))
-            return
-        # ascending step order: D < E < N
+            return None
+        steps = []  # ascending step order: D < E < N
         if dx >= 1 and dy >= 1:
-            prefix.append("D")
-            walk(prefix, dx - 1, dy - 1)
-            prefix.pop()
+            steps.append(("D", (dx - 1, dy - 1)))
         if dx >= 1 and not (ban_final_east and dx == 1 and dy == 0):
-            prefix.append("E")
-            walk(prefix, dx - 1, dy)
-            prefix.pop()
+            steps.append(("E", (dx - 1, dy)))
         if dy >= 1:
-            prefix.append("N")
-            walk(prefix, dx, dy - 1)
-            prefix.pop()
+            steps.append(("N", (dx, dy - 1)))
+        return steps
 
-    walk([], dx0, dy0)
-    del walk  # it refers to itself; free the walk's state now, not at the next gc
-    return out
+    return memo_search((dx0, dy0), successors, add, "", budget)
 
 
 def enumerate_path_families(

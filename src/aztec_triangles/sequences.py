@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import product
 from operator import add
 
-from .errors import SearchBudget
+from .errors import SearchBudget, memo_search
 from .partitions import (
     Partition,
     is_horizontal_strip,
@@ -22,7 +22,7 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionSequence:
     case: int
     mu: Partition
@@ -92,14 +92,15 @@ def _strip_extensions(lam, bound, max_parts, value_cap, vertical):
 
 def chain_search(mu, case, cap, value_caps, step, fold, start) -> list:
     """The one chain search: a depth-first walk over the chains ending at
-    mu, in lexicographic order, spending one budget node per chain prefix.
+    mu, in lexicographic order, charging one budget node per chain prefix.
 
-    The steps lam -> nu at chain index i depend only on (i, lam) within one
-    call, so each is computed once and kept in a table local to the call,
-    beside its payload ``step(i, lam, nu)``.  The walk folds the payloads of
-    a chain into a state, ``fold(state, payload)`` from ``start``, and
-    returns the final state of every chain.  ``value_caps`` optionally
-    bounds the part values per chain index.  ``mu`` is a tuple.
+    The steps lam -> nu at chain index i depend only on (i, lam), so the
+    walk runs on ``memo_search`` with that state: each step and its payload
+    ``step(i, lam, nu)`` is computed once, and a repeated state is charged
+    its subtree's nodes in the plain walk.  It folds the payloads of each
+    chain, ``fold(state, payload)`` from ``start``, and returns the final
+    states in the plain walk's order.  ``value_caps`` optionally bounds the
+    part values per chain index.  ``mu`` is a tuple.
     """
     if not is_partition(mu):
         raise ValueError(f"not a partition: {mu}")
@@ -107,31 +108,20 @@ def chain_search(mu, case, cap, value_caps, step, fold, start) -> list:
     target = normalize(mu)
     bound = pad(target, len(mu))
     budget = SearchBudget("chain", cap)
-    out = []
-    table = {}
-
     if ell == 0:  # mu = () in case 1: the empty chain, and no rows
         return [()]
 
-    def extend(state, lam, i):
-        budget.spend()
+    def successors(state):
+        i, lam = state
         if i == ell:
-            out.append(state)
-            return
-        key = (i, lam)
-        if key not in table:
-            max_parts = (i + 1) // 2
-            value_cap = value_caps[i] if value_caps is not None else None
-            options = _strip_extensions(lam, bound, max_parts, value_cap, i % 2 == 0)
-            if i == ell - 1:
-                options = [nu for nu in options if nu == target]
-            table[key] = [(nu, step(i, lam, nu)) for nu in options]
-        for nu, payload in table[key]:
-            extend(fold(state, payload), nu, i + 1)
+            return None
+        value_cap = value_caps[i] if value_caps is not None else None
+        options = _strip_extensions(lam, bound, (i + 1) // 2, value_cap, i % 2 == 0)
+        if i == ell - 1:
+            options = [nu for nu in options if nu == target]
+        return [(step(i, lam, nu), (i + 1, nu)) for nu in options]
 
-    extend(start, (), 1)
-    del extend  # it refers to itself; free the walk's state now, not at the next gc
-    return out
+    return memo_search((1, ()), successors, fold, start, budget)
 
 
 def enumerate_sequences(

@@ -29,7 +29,7 @@ class Entry(NamedTuple):
         return cls(int(text), False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SuperSymplecticTableau:
     case: int
     shape: Partition

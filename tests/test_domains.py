@@ -155,6 +155,14 @@ def test_cap_threshold_is_exact():
         enumerate_tilings(dom, cap=43931)
 
 
+def test_case2_cap_threshold_is_exact():
+    # 425,888 nodes on (4,3,2,1), case 2, most of them in repeated subtrees
+    dom = build_domain((4, 3, 2, 1), 2)
+    assert len(enumerate_tilings(dom, cap=425888)) == 32032
+    with pytest.raises(CapExceeded):
+        enumerate_tilings(dom, cap=425887)
+
+
 def test_tilings_in_canonical_order():
     for mu in small_partitions(3, 3):
         for case in (1, 2):

@@ -65,6 +65,13 @@ def test_enumerate_cap_threshold_is_exact():
         enumerate_path_families((4, 3, 2, 1), 1, cap=10119)
 
 
+def test_enumerate_case2_cap_threshold_is_exact():
+    # single paths plus assembly spend exactly 56,287 nodes on (4,3,2,1), case 2
+    assert len(enumerate_path_families((4, 3, 2, 1), 2, cap=56287)) == 32032
+    with pytest.raises(CapExceeded):
+        enumerate_path_families((4, 3, 2, 1), 2, cap=56286)
+
+
 def test_case2_paths_never_end_east():
     for fam in enumerate_path_families((2, 1, 0), 2):
         for path in fam.paths:

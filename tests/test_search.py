@@ -1,0 +1,162 @@
+"""The memoised searches charge their budgets the nodes of the plain walk.
+
+Each reference below is a plain depth-first walk with no memo, written
+from the definitions: it counts one node per call, as the budget does.
+"""
+
+from itertools import product
+
+import pytest
+
+from conftest import small_partitions
+
+from aztec_triangles import domains, paths, sequences
+from aztec_triangles.errors import CapExceeded, SearchBudget
+from aztec_triangles.partitions import (
+    is_horizontal_strip,
+    is_partition,
+    is_vertical_strip,
+    normalize,
+    pad,
+)
+from aztec_triangles.tableaux import enumerate_tableaux
+
+
+def test_spend_adds_one():
+    budget = SearchBudget("chain", cap=2)
+    budget.spend()
+    budget.spend()
+    assert budget.used == 2
+    with pytest.raises(CapExceeded) as info:
+        budget.spend()
+    assert str(info.value) == "chain search exceeded cap of 2 nodes"
+
+
+def test_spend_in_bulk_raises_on_the_call_past_the_cap():
+    budget = SearchBudget("tiling", cap=10)
+    budget.spend(4)
+    budget.spend(6)
+    assert budget.used == 10
+    with pytest.raises(CapExceeded) as info:
+        budget.spend(3)
+    assert str(info.value) == "tiling search exceeded cap of 10 nodes"
+    assert budget.used == 13
+
+
+def tiling_nodes(domain):
+    """Exact cover over the first uncovered cell, in (d, p) order."""
+    cells = domain.sorted_cells()
+    covered = set()
+
+    def place():
+        nodes = 1
+        free = [cell for cell in cells if cell not in covered]
+        if not free:
+            return nodes
+        d, p = free[0]
+        for other in ((d + 1, p + 1), (d + 1, p)):
+            if other in domain.cells and other not in covered:
+                covered.update({(d, p), other})
+                nodes += place()
+                covered.difference_update({(d, p), other})
+        return nodes
+
+    return place()
+
+
+def chain_nodes(mu, case):
+    """One node per chain prefix: entries inside mu, strips alternating
+    horizontal and vertical, entry i with at most ceil(i/2) parts, and the
+    last entry mu."""
+    ell = 2 * len(mu) + (case == 2)
+    target = normalize(mu)
+    inside = {
+        normalize(nu)
+        for nu in product(*(range(m + 1) for m in mu))
+        if is_partition(nu)
+    }
+
+    def walk(lam, i):  # lam is entry i - 1
+        nodes = 1
+        if i == ell:
+            return nodes
+        strip = is_horizontal_strip if i % 2 == 1 else is_vertical_strip
+        for nu in inside:
+            if len(nu) > (i + 1) // 2 or not strip(nu, lam):
+                continue
+            if i < ell - 1 or nu == target:
+                nodes += walk(nu, i + 1)
+        return nodes
+
+    return walk((), 1) if ell else 0  # the empty chain is listed without a walk
+
+
+def path_family_nodes(mu, case):
+    """Every single path of each row by N, D and E steps, then the
+    vertex-disjoint families assembled row by row."""
+    n = len(mu)
+    full = pad(mu, n)
+    nodes = 0
+    candidates = []
+    for j in range(1, n + 1):
+        end = (full[j - 1] - j, n + (case == 2))
+        found = []
+
+        def walk(pts):
+            nonlocal nodes
+            nodes += 1
+            x, y = pts[-1]
+            if (x, y) == end:
+                found.append(pts)
+                return
+            for step in ((x + 1, y + 1), (x + 1, y), (x, y + 1)):
+                if step[0] > end[0] or step[1] > end[1]:
+                    continue
+                if case == 2 and step == end and step[1] == y:  # a final east step
+                    continue
+                walk(pts + [step])
+
+        walk([(-j, j)])
+        candidates.append(found)
+
+    def assemble(j, used):
+        count = 1
+        if j < n:
+            for pts in candidates[j]:
+                if used.isdisjoint(pts):
+                    count += assemble(j + 1, used | set(pts))
+        return count
+
+    return nodes + assemble(0, frozenset())
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """Every SearchBudget the searches make, in order."""
+    made = []
+
+    class Recorded(SearchBudget):
+        def __init__(self, name, cap=None):
+            super().__init__(name, cap)
+            made.append(self)
+
+    for module in (domains, paths, sequences):
+        monkeypatch.setattr(module, "SearchBudget", Recorded)
+    return made
+
+
+@pytest.mark.parametrize("case", [1, 2])
+def test_memoised_searches_charge_the_plain_walk(budgets, case):
+    for mu in small_partitions(3, 3):
+        walks = (
+            (lambda: domains.enumerate_tilings(domains.build_domain(mu, case)),
+             tiling_nodes(domains.build_domain(mu, case))),
+            (lambda: sequences.enumerate_sequences(mu, case), chain_nodes(mu, case)),
+            (lambda: enumerate_tableaux(mu, case), chain_nodes(mu, case)),
+            (lambda: paths.enumerate_path_families(mu, case),
+             path_family_nodes(mu, case)),
+        )
+        for search, expected in walks:
+            budgets.clear()
+            search()
+            assert [b.used for b in budgets] == [expected], (mu, case)

@@ -130,6 +130,13 @@ def test_cap_threshold_is_exact():
         enumerate_sequences((4, 3, 2, 1), 1, cap=11064)
 
 
+def test_case2_cap_threshold_is_exact():
+    # 81,116 nodes on (4,3,2,1), case 2
+    assert len(enumerate_sequences((4, 3, 2, 1), 2, cap=81116)) == 32032
+    with pytest.raises(CapExceeded):
+        enumerate_sequences((4, 3, 2, 1), 2, cap=81115)
+
+
 def _reference_validate(seq):
     """The five chain conditions, read off the strip predicates directly."""
     if seq.case not in (1, 2) or not is_partition(seq.mu):

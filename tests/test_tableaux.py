@@ -112,6 +112,12 @@ def test_cap_threshold_is_exact():
         enumerate_tableaux((4, 3, 2, 1), 1, cap=11064)
 
 
+def test_case2_cap_threshold_is_exact():
+    assert len(enumerate_tableaux((4, 3, 2, 1), 2, cap=81116)) == 32032
+    with pytest.raises(CapExceeded):
+        enumerate_tableaux((4, 3, 2, 1), 2, cap=81115)
+
+
 def test_rows_have_at_most_one_barred_value():
     for t in enumerate_tableaux((3, 2), 2):
         for row in t.rows:
