@@ -3,7 +3,9 @@
 Family j (1-based) runs from u_j = (-j, j) to v_j = (mu_j - j, n) in Case 1
 and to (mu_j - j, n+1) in Case 2, where Case 2 paths must not end with an
 east step.  Counting vertex-disjoint families is a determinant of single
-path counts, which is where the D and H matrices come from.
+path counts, which is where the D and H matrices come from.  The brute-force
+side, ``enumerate_path_families``, lists them on the shared search engine,
+choosing path j against path j-1 alone.
 
 Steps are recorded as a word over N (north), D (northeast diagonal) and
 E (east).
@@ -179,8 +181,9 @@ def _single_paths(start, end, ban_final_east, budget):
 def enumerate_path_families(
     mu: Partition, case: int, cap: int | None = None
 ) -> list[PathFamily]:
-    """Brute-force the vertex-disjoint families with the prescribed
-    endpoints, in lexicographic order of their step words."""
+    """Brute-force the vertex-disjoint families with the prescribed endpoints,
+    in lexicographic order of their step words: ``memo_search`` over states
+    (j, points of path j-1), charged like ``_single_paths``."""
     mu = check_partition(tuple(mu))
     n = len(mu)
     budget = SearchBudget("path", cap)
@@ -191,23 +194,16 @@ def enumerate_path_families(
         start = start_point(j)
         words = _single_paths(start, end_point(mu_full, case, j), case == 2, budget)
         paths_j = [LatticePath(start, steps) for steps in words]
-        candidates.append([(path, path.points()) for path in paths_j])
-    families = []
+        candidates.append([((path,), frozenset(path.points())) for path in paths_j])
 
-    def assemble(chosen, used, j):
-        budget.spend()
+    def successors(state):
+        # N, D and E steps cannot cross without a shared vertex, so a path
+        # that misses path j-1 lies left of it and misses every earlier path
+        j, before = state
         if j > n:
-            families.append(PathFamily(case, mu, tuple(chosen)))
-            return
-        for path, pts in candidates[j - 1]:
-            if not used.isdisjoint(pts):
-                continue
-            chosen.append(path)
-            used.update(pts)
-            assemble(chosen, used, j + 1)
-            chosen.pop()
-            used.difference_update(pts)
+            return None
+        return [(payload, (j + 1, pts)) for payload, pts in candidates[j - 1]
+                if before.isdisjoint(pts)]
 
-    assemble([], set(), 1)
-    del assemble  # it refers to itself; free the walk's state now, not at the next gc
-    return families
+    found = memo_search((1, frozenset()), successors, add, (), budget)
+    return [PathFamily(case, mu, paths) for paths in found]

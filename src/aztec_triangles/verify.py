@@ -352,7 +352,8 @@ def suite_delannoy(limit: int = 20) -> list[dict]:
     grid = square(0, limit)
     i_from_1 = [(i, j) for i in range(1, limit + 1) for j in range(limit + 1)]
     # (identity, grid label, points, predicate): the record passes when the
-    # predicate holds at every point, checked in order up to the first miss
+    # predicate holds at every point, checked in order up to the first miss;
+    # a row with no points checks nothing and gives no record
     rows = [
         ("D = D(i-1,j) + H(i,j-1)", limit, grid,
          lambda i, j: D(i, j) == D(i - 1, j) + H(i, j - 1)),
@@ -387,6 +388,7 @@ def suite_delannoy(limit: int = 20) -> list[dict]:
             all(holds(i, j) for i, j in points),
         )
         for identity, label, points, holds in rows
+        if points
     ]
 
 

@@ -397,17 +397,23 @@ def test_cap_exceeded_names_search(capsys, monkeypatch, model, search):
     assert err == f"error: {search} search exceeded cap of 5 nodes\n"
 
 
-def test_hopeless_search_exits_3_at_once(capsys, monkeypatch):
-    # the staircase-5 tiling search is over the default cap of 10^7 nodes; its
-    # repeated subtrees are charged in bulk, so it stops without walking them
+@pytest.mark.parametrize(
+    "argv, search",
+    [
+        (("count", "--mu", "5,4,3,2,1", "--case", "1", "--method", "brute"), "tiling"),
+        (("enumerate", "--mu", "5,4,3,2,1", "--case", "2", "--model", "paths"), "path"),
+    ],
+    ids=["tilings", "paths"],
+)
+def test_hopeless_search_exits_3_at_once(capsys, monkeypatch, argv, search):
+    # both staircase-5 searches are over the default cap of 10^7 nodes; their
+    # repeated subtrees are charged in bulk, so they stop without walking them
     monkeypatch.delenv("AZTEC_CAP", raising=False)
     began = time.perf_counter()
-    code, out, err = run_cli(
-        capsys, "count", "--mu", "5,4,3,2,1", "--case", "1", "--method", "brute"
-    )
+    code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - began < 2
     assert code == 3 and out == ""
-    assert err == "error: tiling search exceeded cap of 10000000 nodes\n"
+    assert err == f"error: {search} search exceeded cap of 10000000 nodes\n"
 
 
 def test_output_deterministic(capsys):

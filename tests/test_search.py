@@ -93,7 +93,8 @@ def chain_nodes(mu, case):
 
 def path_family_nodes(mu, case):
     """Every single path of each row by N, D and E steps, then the
-    vertex-disjoint families assembled row by row."""
+    vertex-disjoint families assembled row by row against all earlier
+    paths; also the families found, each as its paths' point tuples."""
     n = len(mu)
     full = pad(mu, n)
     nodes = 0
@@ -119,15 +120,19 @@ def path_family_nodes(mu, case):
         walk([(-j, j)])
         candidates.append(found)
 
-    def assemble(j, used):
+    families = []
+
+    def assemble(j, used, chosen):
+        if j == n:
+            families.append(chosen)
+            return 1
         count = 1
-        if j < n:
-            for pts in candidates[j]:
-                if used.isdisjoint(pts):
-                    count += assemble(j + 1, used | set(pts))
+        for pts in candidates[j]:
+            if used.isdisjoint(pts):
+                count += assemble(j + 1, used | set(pts), chosen + (tuple(pts),))
         return count
 
-    return nodes + assemble(0, frozenset())
+    return nodes + assemble(0, frozenset(), ()), families
 
 
 @pytest.fixture
@@ -148,15 +153,18 @@ def budgets(monkeypatch):
 @pytest.mark.parametrize("case", [1, 2])
 def test_memoised_searches_charge_the_plain_walk(budgets, case):
     for mu in small_partitions(3, 3):
+        path_nodes, families = path_family_nodes(mu, case)
         walks = (
             (lambda: domains.enumerate_tilings(domains.build_domain(mu, case)),
              tiling_nodes(domains.build_domain(mu, case))),
             (lambda: sequences.enumerate_sequences(mu, case), chain_nodes(mu, case)),
             (lambda: enumerate_tableaux(mu, case), chain_nodes(mu, case)),
-            (lambda: paths.enumerate_path_families(mu, case),
-             path_family_nodes(mu, case)),
+            (lambda: paths.enumerate_path_families(mu, case), path_nodes),
         )
         for search, expected in walks:
             budgets.clear()
             search()
             assert [b.used for b in budgets] == [expected], (mu, case)
+        # path j is checked against path j-1 alone: the same families, in order
+        found = paths.enumerate_path_families(mu, case)
+        assert [tuple(tuple(p.points()) for p in f.paths) for f in found] == families

@@ -272,3 +272,11 @@ def test_half_shift_row_fails_on_wrong_expansion(monkeypatch):
     assert len(records) == 11
     failed = [r["params"]["identity"] for r in records if not r["pass"]]
     assert failed == ["half-shift expansion"]
+
+
+@pytest.mark.parametrize("kmax, count", [(-1, 4), (0, 9)])
+def test_delannoy_row_with_no_points_gives_no_record(kmax, count):
+    # at kmax -1 the seven rows over [0, kmax] are empty, at kmax 0 the two
+    # i >= 1 rows: they check nothing, so they must not read as passes
+    records = run_suite("delannoy", kmax)
+    assert len(records) == count and all(r["pass"] for r in records)
