@@ -5,8 +5,7 @@ decimal integers; enumerate emits a JSON header line followed by one JSON
 object per element in canonical order; verify prints a JSON report array.
 
 Exit codes: 0 success / all checks pass, 1 a verification or crosscheck
-failed, 2 invalid input, 3 enumeration cap exceeded (see AZTEC_CAP) or a
-search too deep for the Python stack.
+failed, 2 invalid input, 3 enumeration cap exceeded (see AZTEC_CAP).
 
 Each verb imports what it runs inside its handler, so a call loads only
 those modules: ``count --method det`` and ``verify`` never load the path,
@@ -221,9 +220,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RecursionError:  # the searches recurse once per domino or step
-        print("error: search too deep for the Python stack", file=sys.stderr)
         return 3
     except IdentityError as exc:
         print(f"error: {exc}", file=sys.stderr)

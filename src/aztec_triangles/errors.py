@@ -54,20 +54,18 @@ def memo_search(root, successors, fold, start, budget: SearchBudget) -> list:
     Pass 2 folds along the live steps only.  The budget is charged one node
     at a state's first visit and its subtree's count at each repeat, so it
     runs out exactly when the plain walk would, and at once when a repeated
-    subtree is over the cap.
+    subtree is over the cap.  Both passes walk on an explicit stack, so a
+    search of any depth runs within the Python stack.
     """
     memo = {}  # state -> (nodes of its subtree, live steps or None at a goal)
 
     def expand(state):
-        entry = memo.get(state)
-        if entry is not None:
-            budget.spend(entry[0])
-            return entry
+        # yields each child and is sent back the child's memo entry
         budget.spend()
         steps = successors(state)
         size, live = 1, None if steps is None else []
         for payload, child in steps or ():
-            nodes, below = expand(child)
+            nodes, below = yield child
             size += nodes
             if below is None or len(below) > 1:
                 live.append((payload, below))
@@ -77,15 +75,32 @@ def memo_search(root, successors, fold, start, budget: SearchBudget) -> list:
         memo[state] = entry = (size, live)
         return entry
 
-    out = []
+    stack, entry = [expand(root)], None
+    while stack:
+        try:
+            child = stack[-1].send(entry)
+        except StopIteration as done:
+            stack.pop()
+            entry = done.value
+            continue
+        entry = memo.get(child)
+        if entry is None:
+            stack.append(expand(child))
+        else:
+            budget.spend(entry[0])
 
-    def emit(live, acc):
-        if live is None:
-            out.append(acc)
-            return
-        for payload, below in live:
-            emit(below, fold(acc, payload))
-
-    emit(expand(root)[1], start)
-    del expand, emit  # they refer to themselves; free the memo now, not at the next gc
+    live = entry[1]
+    if live is None:
+        return [start]
+    out, stack = [], [(start, iter(live))]
+    while stack:
+        acc, steps = stack[-1]
+        for payload, below in steps:
+            if below is None:
+                out.append(fold(acc, payload))
+            else:
+                stack.append((fold(acc, payload), iter(below)))
+                break
+        else:
+            stack.pop()
     return out

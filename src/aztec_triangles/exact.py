@@ -62,26 +62,18 @@ def pochhammer(x: Exact, i: int) -> Exact:
 
 
 class Matrix:
-    """Immutable rectangular matrix of exact rationals."""
+    """Rectangular matrix of exact rationals."""
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "entries")
 
     def __init__(self, rows):
-        entries = tuple(tuple(row) for row in rows)
-        if entries and any(len(r) != len(entries[0]) for r in entries):
+        self.entries = tuple(tuple(row) for row in rows)
+        self.nrows = len(self.entries)
+        if any(len(r) != len(self.entries[0]) for r in self.entries):
             raise ValueError("matrix rows have unequal lengths")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "nrows", len(entries))
-        object.__setattr__(self, "ncols", len(entries[0]) if entries else 0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.entries]!r})"
@@ -102,9 +94,9 @@ class Matrix:
         ``int``.  Any entry that is neither ``int`` nor ``Fraction`` raises
         ``TypeError``.
         """
-        if self.nrows != self.ncols:
-            raise ValueError(f"determinant of {self.nrows}x{self.ncols} matrix")
         n = self.nrows
+        if any(len(row) != n for row in self.entries):
+            raise ValueError(f"determinant of {n}x{len(self.entries[0])} matrix")
         if n == 0:
             return 1
         a = []

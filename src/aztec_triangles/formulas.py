@@ -46,16 +46,13 @@ def product_case1(k: int, ell: int) -> int:
 
 
 def product_case2(k: int, n: int) -> int:
-    """Number of Case 2 chains for mu = (k,...,1,0^(n-k)); this is the
-    Case 1 product with n replaced by n + 1/2."""
+    """Number of Case 2 chains for mu = (k,...,1,0^(n-k)): the Case 1
+    product at ell = 2n + 1, i.e. with n replaced by n + 1/2."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
-    value = normalize(_staircase_product(k, 2 * n + 1))
-    if not isinstance(value, int) or value < 0:
-        raise IdentityError(f"case 2 product not a count at k={k}, n={n}: {value}")
-    return value
+    return product_case1(k, 2 * n + 1)
 
 
 def leading_coefficient(k: int) -> Exact:

@@ -8,6 +8,7 @@ and no value smaller than its row index may appear (rows 1-based).
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from operator import add
 from typing import NamedTuple
 
@@ -90,21 +91,26 @@ def _entry_for_chain_index(m: int) -> Entry:
     return Entry((m + 1) // 2, m % 2 == 0)
 
 
+def _cells(n, m, lam, nu):
+    """The cells that chain step m from lam to nu adds to each of n rows:
+    nu_r - lam_r of them, all holding the step's entry."""
+    entry = _entry_for_chain_index(m)
+    return tuple((entry,) * (part(nu, r) - part(lam, r)) for r in range(n))
+
+
+def _grow(rows, new):
+    return tuple(map(add, rows, new))
+
+
 def sequence_to_tableau(seq: PartitionSequence) -> SuperSymplecticTableau:
     """Fill the cells added at chain step m with the step's entry."""
     if not validate_sequence(seq):
         raise ValueError("invalid partition sequence")
     n = seq.n
-    shape = pad(seq.mu, n)
-    grid = [[None] * width for width in shape]
+    rows = ((),) * n
     for m in range(1, seq.ell):
-        entry = _entry_for_chain_index(m)
-        prev, cur = seq.chain[m - 1], seq.chain[m]
-        for r in range(len(cur)):
-            for c in range(part(prev, r), cur[r]):
-                grid[r][c] = entry
-    rows = tuple(tuple(row) for row in grid)
-    return SuperSymplecticTableau(seq.case, shape, rows)
+        rows = _grow(rows, _cells(n, m, seq.chain[m - 1], seq.chain[m]))
+    return SuperSymplecticTableau(seq.case, pad(seq.mu, n), rows)
 
 
 def tableau_to_sequence(t: SuperSymplecticTableau) -> PartitionSequence:
@@ -129,18 +135,11 @@ def enumerate_tableaux(
     """All type-1/type-2 tableaux of shape mu, in chain order.
 
     The chain search builds them itself, so no chain is kept or validated
-    again: the payload of step i from lam to nu gives each row r its
-    nu_r - lam_r new cells, all holding the step's entry, and the state is
-    the tuple of rows.
+    again: the payload of a step is the cells it adds, ``_cells``, and the
+    state is the tuple of rows.
     """
     mu = tuple(mu)
-
-    def cells(i, lam, nu):
-        entry = _entry_for_chain_index(i)
-        return tuple((entry,) * (part(nu, r) - part(lam, r)) for r in range(len(mu)))
-
-    def grow(rows, new):
-        return tuple(map(add, rows, new))
-
-    fillings = chain_search(mu, case, cap, None, cells, grow, ((),) * len(mu))
+    fillings = chain_search(
+        mu, case, cap, None, partial(_cells, len(mu)), _grow, ((),) * len(mu)
+    )
     return [SuperSymplecticTableau(case, mu, rows) for rows in fillings]

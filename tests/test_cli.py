@@ -437,19 +437,53 @@ def test_verify_empty_sweep_exit_2(capsys):
         assert code == 2 and out == "" and "no records" in err, suite
 
 
+ZEROS_600 = ",".join(["0"] * 600)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--mu", "1200", "--case", "1", "--model", "paths"),
+        ("enumerate", "--mu", ZEROS_600, "--case", "1", "--model", "sequence"),
+        ("enumerate", "--mu", ZEROS_600, "--case", "1", "--model", "tableau"),
+    ],
+    ids=["paths", "sequence", "tableau"],
+)
+def test_deep_search_finishes(capsys, monkeypatch, argv):
+    # one object 1,200 steps deep: the searches walk on an explicit stack,
+    # so depth is limited by the cap alone
+    monkeypatch.delenv("AZTEC_CAP", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out.splitlines()[0])["count"] == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ("count", "--mu", "1200", "--case", "1", "--method", "brute"),
         ("enumerate", "--mu", "1200", "--case", "1", "--model", "tiling"),
-        ("enumerate", "--mu", "1200", "--case", "1", "--model", "paths"),
     ],
+    ids=["count", "enumerate"],
 )
-def test_too_deep_search_exit_3(capsys, argv):
+def test_deep_search_over_cap_exits_3(capsys, monkeypatch, argv):
+    # the (1200,) tiling takes 720,601 nodes; at the default cap it finishes
+    # with 1 but needs about 20 s and 380 MB, so it is run here over a cap
+    monkeypatch.setenv("AZTEC_CAP", "100000")
+    began = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - began < 2
     assert code == 3 and out == ""
-    assert err.startswith("error: search too deep") and "Traceback" not in err
-    assert err.count("\n") == 1
+    assert err == "error: tiling search exceeded cap of 100000 nodes\n"
+
+
+def test_det_equals_product_on_staircase_100(capsys):
+    mu = ",".join(str(i) for i in range(100, 0, -1))
+    outs = [
+        run_cli(capsys, "count", "--mu", mu, "--case", "1", "--method", method)
+        for method in ("det", "product")
+    ]
+    assert outs[0] == outs[1] and outs[0][0] == 0 and outs[0][2] == ""
 
 
 # sha256 of each help text at 80 columns (Python 3.11 argparse); the verify

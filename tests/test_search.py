@@ -4,6 +4,7 @@ Each reference below is a plain depth-first walk with no memo, written
 from the definitions: it counts one node per call, as the budget does.
 """
 
+import sys
 from itertools import product
 
 import pytest
@@ -168,3 +169,27 @@ def test_memoised_searches_charge_the_plain_walk(budgets, case):
         # path j is checked against path j-1 alone: the same families, in order
         found = paths.enumerate_path_families(mu, case)
         assert [tuple(tuple(p.points()) for p in f.paths) for f in found] == families
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: domains.enumerate_tilings(domains.build_domain((300,), 1)),
+        lambda: sequences.enumerate_sequences((0,) * 300, 1),
+        lambda: enumerate_tableaux((0,) * 300, 1),
+        lambda: paths.enumerate_path_families((300,), 1),
+    ],
+    ids=["tilings", "sequences", "tableaux", "paths"],
+)
+def test_search_depth_needs_no_python_stack(search):
+    # each finds one object hundreds of steps deep; with 100 frames to
+    # spare above the caller, only a walk on an explicit stack gets there
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert len(search()) == 1
+    finally:
+        sys.setrecursionlimit(limit)

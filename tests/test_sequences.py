@@ -225,9 +225,9 @@ def test_validate_matches_enumeration():
     ids=["sequences", "tableaux", "paths", "tilings"],
 )
 def test_search_leaves_no_garbage_cycles(enumerate_model):
-    # every search runs on memo_search, whose walk closures are the only ones
-    # that refer to themselves; it must break that cycle itself, so no search
-    # state waits for the cyclic gc
+    # every search runs on memo_search, which walks on an explicit stack and
+    # has no closure that refers to itself: no reference cycle holds its
+    # memo, so no search state waits for the cyclic gc
     gc.collect()
     gc.disable()
     try:
