@@ -4,6 +4,10 @@ Verbs: count, enumerate, crosscheck, verify, render.  Counts print as bare
 decimal integers; enumerate emits a JSON header line followed by one JSON
 object per element in canonical order; verify prints a JSON report array.
 
+Brute-force counts (``count --method brute``, ``crosscheck``, the enumerate
+header) are the searches' goal counts and build no object; ``enumerate
+--limit`` and ``render --tiling-index`` build only the objects they print.
+
 Exit codes: 0 success / all checks pass, 1 a verification or crosscheck
 failed, 2 invalid input, 3 enumeration cap exceeded (see AZTEC_CAP).
 
@@ -15,6 +19,8 @@ tableau, chain or tiling models, and ``--help`` loads none of them.
 import argparse
 import json
 import sys
+from functools import partial
+from itertools import islice
 
 from .errors import CapExceeded, IdentityError
 from .partitions import Partition, check_partition, normalize
@@ -63,7 +69,7 @@ def _cmd_count(args) -> int:
             product_case1(k, 2 * n) if args.case == 1 else product_case2(k, n)
         )
     else:  # brute
-        value = len(_items("tiling", mu, args.case))
+        value = len(_search("tiling", mu, args.case)[0])
     print(value)
     return 0
 
@@ -71,46 +77,38 @@ def _cmd_count(args) -> int:
 _MODELS = ("paths", "sequence", "tableau", "tiling")
 
 
-def _items(model: str, mu: Partition, case: int) -> list:
-    """Every object of one model, importing only that model's module."""
+def _search(model: str, mu: Partition, case: int):
+    """One model's search and the class call that wraps each of its goals,
+    importing only that model's module."""
     if model == "sequence":
-        from .sequences import enumerate_sequences
+        from .sequences import PartitionSequence, chain_search
 
-        return enumerate_sequences(mu, case)
+        return chain_search(mu, case), partial(PartitionSequence, case, mu)
     if model == "tableau":
-        from .tableaux import enumerate_tableaux
+        from .tableaux import SuperSymplecticTableau, filling_search
 
-        return enumerate_tableaux(mu, case)
+        return filling_search(mu, case), partial(SuperSymplecticTableau, case, mu)
     if model == "paths":
-        from .paths import enumerate_path_families
+        from .paths import PathFamily, family_search
 
-        return enumerate_path_families(mu, case)
-    from .domains import build_domain, enumerate_tilings
+        return family_search(mu, case), partial(PathFamily, case, mu)
+    from .domains import Tiling, build_domain, tiling_search
 
-    return enumerate_tilings(build_domain(mu, case))
+    domain = build_domain(mu, case)
+    return tiling_search(domain), partial(Tiling, domain)
 
 
 def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     mu = parse_partition(args.mu)
-    items = _items(args.model, mu, args.case)
-    total = len(items)
-    if args.limit is not None:
-        items = items[: args.limit]
-    print(
-        json.dumps(
-            {
-                "mu": list(mu),
-                "case": args.case,
-                "model": args.model,
-                "count": total,
-                "emitted": len(items),
-            }
-        )
-    )
-    for item in items:
-        print(json.dumps(item.to_json()))
+    found, wrap = _search(args.model, mu, args.case)
+    total = len(found)
+    emitted = total if args.limit is None else min(args.limit, total)
+    print(json.dumps({"mu": list(mu), "case": args.case, "model": args.model,
+                      "count": total, "emitted": emitted}))
+    for item in islice(found, args.limit):
+        print(json.dumps(wrap(item).to_json()))
     return 0
 
 
@@ -120,10 +118,10 @@ def _cmd_crosscheck(args) -> int:
     mu = parse_partition(args.mu)
     case = args.case
     counts = {
-        "sequences": len(_items("sequence", mu, case)),
-        "tableaux": len(_items("tableau", mu, case)),
-        "paths": len(_items("paths", mu, case)),
-        "tilings": len(_items("tiling", mu, case)),
+        "sequences": len(_search("sequence", mu, case)[0]),
+        "tableaux": len(_search("tableau", mu, case)[0]),
+        "paths": len(_search("paths", mu, case)[0]),
+        "tilings": len(_search("tiling", mu, case)[0]),
         "determinant": count_sequences(mu, case),
     }
     agree = len(set(counts.values())) == 1
@@ -140,19 +138,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .domains import build_domain, enumerate_tilings, render
+    from .domains import build_domain, render
 
     mu = parse_partition(args.mu)
-    domain = build_domain(mu, args.case)
     if args.tiling_index is None:
-        text = render(domain, args.format)
+        text = render(build_domain(mu, args.case), args.format)
     else:
-        tilings = enumerate_tilings(domain)
-        if not 0 <= args.tiling_index < len(tilings):
+        found, wrap = _search("tiling", mu, args.case)
+        if not 0 <= args.tiling_index < len(found):
             raise ValueError(
-                f"tiling index {args.tiling_index} out of range (0..{len(tilings) - 1})"
+                f"tiling index {args.tiling_index} out of range (0..{len(found) - 1})"
             )
-        text = render(tilings[args.tiling_index], args.format)
+        text = render(wrap(found[args.tiling_index]), args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

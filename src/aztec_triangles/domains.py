@@ -23,7 +23,7 @@ correspondence produces the partition chain.
 from dataclasses import dataclass
 from operator import add
 
-from .errors import SearchBudget, memo_search
+from .errors import Found, SearchBudget, memo_search
 from .partitions import (
     HOLE,
     PARTICLE,
@@ -117,9 +117,10 @@ def validate_tiling(tiling: Tiling) -> bool:
     )
 
 
-def enumerate_tilings(domain: Domain, cap: int | None = None) -> list[Tiling]:
-    """Backtracking exact cover over the first uncovered cell in (d, p)
-    order; that cell is always the start of some domino.
+def tiling_search(domain: Domain, cap: int | None = None) -> Found:
+    """The domino tuples of the domain's tilings: backtracking exact cover
+    over the first uncovered cell in (d, p) order; that cell is always the
+    start of some domino.
 
     The walk runs on ``memo_search``, whose state, the bitmask of covered
     cells, fixes the rest of the walk.  It expands each state once and
@@ -127,8 +128,8 @@ def enumerate_tilings(domain: Domain, cap: int | None = None) -> list[Tiling]:
 
     Each cell's dominoes are built once, H before V.  Dominoes are placed in
     start-cell order and ``Domino`` orders "H" < "V", so every tiling comes
-    out with sorted dominoes and the list comes out sorted by ``t.dominoes``
-    without a sort."""
+    out with sorted dominoes and the tilings come out sorted by their
+    dominoes without a sort."""
     cells = domain.sorted_cells()
     index = {cell: i for i, cell in enumerate(cells)}
     # each step covers cell i and its partner: a one-domino payload and two bits
@@ -149,8 +150,12 @@ def enumerate_tilings(domain: Domain, cap: int | None = None) -> list[Tiling]:
             (tile, covered | bits) for tile, bits in options[i] if not covered & bits
         ]
 
-    found = memo_search(0, successors, add, (), SearchBudget("tiling", cap))
-    return [Tiling(domain, dominoes) for dominoes in found]
+    return memo_search(0, successors, add, (), SearchBudget("tiling", cap))
+
+
+def enumerate_tilings(domain: Domain, cap: int | None = None) -> list[Tiling]:
+    """Every tiling of the domain, sorted by its dominoes: ``tiling_search``'s."""
+    return [Tiling(domain, dominoes) for dominoes in tiling_search(domain, cap)]
 
 
 def _mark_cells(tiling: Tiling) -> dict:

@@ -42,37 +42,84 @@ class SearchBudget:
             raise CapExceeded(f"{self.name} search exceeded cap of {self.cap} nodes")
 
 
-def memo_search(root, successors, fold, start, budget: SearchBudget) -> list:
-    """The fold from ``start`` of the payloads on the way to each goal below
-    ``root``, in the order of the plain depth-first walk.
+class Found:
+    """The goals of one ``memo_search``, kept as its live steps.
+
+    ``len`` is the goal count, iterating folds each goal's payloads in walk
+    order, and ``found[i]`` folds the payloads on the way to goal i alone,
+    choosing each step by the goal counts below it."""
+
+    __slots__ = ("start", "fold", "goals", "live")
+
+    def __init__(self, start, fold, goals, live):
+        self.start, self.fold, self.goals, self.live = start, fold, goals, live
+
+    def __len__(self):
+        return self.goals
+
+    def __iter__(self):
+        if self.live is None:
+            yield self.start
+            return
+        fold, stack = self.fold, [(self.start, iter(self.live))]
+        while stack:
+            acc, steps = stack[-1]
+            for payload, _, below in steps:
+                if below is None:
+                    yield fold(acc, payload)
+                else:
+                    stack.append((fold(acc, payload), iter(below)))
+                    break
+            else:
+                stack.pop()
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.goals:
+            raise IndexError(f"goal index {i} out of range")
+        acc, steps = self.start, self.live
+        while steps is not None:
+            for payload, goals, below in steps:
+                if i < goals:
+                    acc, steps = self.fold(acc, payload), below
+                    break
+                i -= goals
+        return acc
+
+
+def memo_search(root, successors, fold, start, budget: SearchBudget) -> Found:
+    """The goals below ``root``, each the fold from ``start`` of the payloads
+    on the way to it, in the order of the plain depth-first walk.
 
     ``successors(state)`` is None at a goal, else the ``(payload, child)``
     steps in walk order; a state's subtree depends on the state alone.
-    ``fold(acc, payload)`` must be associative.  Pass 1 expands each state
-    once, keeping its subtree's node count and its live steps (those with
-    a goal below); a step into a state with one live step merges with it.
-    Pass 2 folds along the live steps only.  The budget is charged one node
-    at a state's first visit and its subtree's count at each repeat, so it
-    runs out exactly when the plain walk would, and at once when a repeated
-    subtree is over the cap.  Both passes walk on an explicit stack, so a
-    search of any depth runs within the Python stack.
+    ``fold(acc, payload)`` must be associative.  The walk expands each state
+    once, keeping its subtree's node count, its goal count and its live
+    steps (those with a goal below); a step into a state with one live step
+    merges with it.  It returns a ``Found`` over the root's live steps, and
+    the whole budget charge falls in the walk: one node at a state's first
+    visit and its subtree's count at each repeat, so the budget runs out
+    exactly when the plain walk's would, and at once when a repeated
+    subtree is over the cap.  Counting, iterating and indexing the result
+    charge nothing.  The walk runs on an explicit stack, so a search of any
+    depth runs within the Python stack.
     """
-    memo = {}  # state -> (nodes of its subtree, live steps or None at a goal)
+    memo = {}  # state -> (subtree nodes, goals below, live steps or None at a goal)
 
     def expand(state):
         # yields each child and is sent back the child's memo entry
         budget.spend()
         steps = successors(state)
-        size, live = 1, None if steps is None else []
+        size, goals, live = (1, 1, None) if steps is None else (1, 0, [])
         for payload, child in steps or ():
-            nodes, below = yield child
+            nodes, below_goals, below = yield child
             size += nodes
+            goals += below_goals
             if below is None or len(below) > 1:
-                live.append((payload, below))
+                live.append((payload, below_goals, below))
             elif below:  # one live step below: jump over the child
-                (more, below), = below
-                live.append((fold(payload, more), below))
-        memo[state] = entry = (size, live)
+                (more, _, below), = below
+                live.append((fold(payload, more), below_goals, below))
+        memo[state] = entry = (size, goals, live)
         return entry
 
     stack, entry = [expand(root)], None
@@ -88,19 +135,4 @@ def memo_search(root, successors, fold, start, budget: SearchBudget) -> list:
             stack.append(expand(child))
         else:
             budget.spend(entry[0])
-
-    live = entry[1]
-    if live is None:
-        return [start]
-    out, stack = [], [(start, iter(live))]
-    while stack:
-        acc, steps = stack[-1]
-        for payload, below in steps:
-            if below is None:
-                out.append(fold(acc, payload))
-            else:
-                stack.append((fold(acc, payload), iter(below)))
-                break
-        else:
-            stack.pop()
-    return out
+    return Found(start, fold, *entry[1:])  # the root's goal count and live steps

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .delannoy import d_submatrix, lgv_matrix  # noqa: F401
-from .errors import SearchBudget, memo_search
+from .errors import Found, SearchBudget, memo_search
 from .partitions import Partition, check_partition, pad
 from .tableaux import Entry, SuperSymplecticTableau, validate_tableau
 
@@ -175,16 +175,14 @@ def _single_paths(start, end, ban_final_east, budget):
             steps.append(("N", (dx, dy - 1)))
         return steps
 
-    return memo_search((dx0, dy0), successors, add, "", budget)
+    return list(memo_search((dx0, dy0), successors, add, "", budget))
 
 
-def enumerate_path_families(
-    mu: Partition, case: int, cap: int | None = None
-) -> list[PathFamily]:
-    """Brute-force the vertex-disjoint families with the prescribed endpoints,
-    in lexicographic order of their step words: ``memo_search`` over states
-    (j, points of path j-1), charged like ``_single_paths``."""
-    mu = check_partition(tuple(mu))
+def family_search(mu: Partition, case: int, cap: int | None = None) -> Found:
+    """The path tuples of the vertex-disjoint families with the prescribed
+    endpoints, in lexicographic order of their step words: ``memo_search``
+    over states (j, points of path j-1), charged like ``_single_paths``."""
+    mu = check_partition(mu)
     n = len(mu)
     budget = SearchBudget("path", cap)
     mu_full = pad(mu, n)
@@ -205,5 +203,12 @@ def enumerate_path_families(
         return [(payload, (j + 1, pts)) for payload, pts in candidates[j - 1]
                 if before.isdisjoint(pts)]
 
-    found = memo_search((1, frozenset()), successors, add, (), budget)
-    return [PathFamily(case, mu, paths) for paths in found]
+    return memo_search((1, frozenset()), successors, add, (), budget)
+
+
+def enumerate_path_families(
+    mu: Partition, case: int, cap: int | None = None
+) -> list[PathFamily]:
+    """Brute-force the families of ``family_search``, in its order."""
+    mu = tuple(mu)
+    return [PathFamily(case, mu, paths) for paths in family_search(mu, case, cap)]

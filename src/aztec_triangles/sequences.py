@@ -7,10 +7,9 @@ parts.
 """
 
 from dataclasses import dataclass
-from itertools import product
 from operator import add
 
-from .errors import SearchBudget, memo_search
+from .errors import Found, SearchBudget, memo_search
 from .partitions import (
     Partition,
     is_horizontal_strip,
@@ -78,29 +77,32 @@ def _strip_extensions(lam, bound, max_parts, value_cap, vertical):
     """All nu >= lam with nu/lam a horizontal strip (nu_r <= lam_(r-1)), or a
     vertical one (nu_r <= lam_r + 1) if ``vertical``, nu a partition inside
     bound with at most max_parts nonzero parts and parts <= value_cap, in
-    ascending order."""
-    ranges = []
+    ascending order, built row by row with each part capped by the last."""
+    found = [()]
     for r in range(min(max_parts, len(bound))):
         lo = part(lam, r)
         top = lo + 1 if vertical else part(lam, r - 1) if r else bound[r]
         hi = min(bound[r], top)
         if value_cap is not None:
             hi = min(hi, value_cap)
-        ranges.append(range(lo, hi + 1))
-    return [normalize(nu) for nu in product(*ranges) if is_partition(nu)]
+        found = [nu + (v,) for nu in found
+                 for v in range(lo, (min(hi, nu[-1]) if r else hi) + 1)]
+    return [normalize(nu) for nu in found]
 
 
-def chain_search(mu, case, cap, value_caps, step, fold, start) -> list:
+def chain_search(mu, case, cap=None, value_caps=None,
+                 step=lambda i, lam, nu: (nu,), fold=add, start=((),)) -> Found:
     """The one chain search: a depth-first walk over the chains ending at
     mu, in lexicographic order, charging one budget node per chain prefix.
 
     The steps lam -> nu at chain index i depend only on (i, lam), so the
     walk runs on ``memo_search`` with that state: each step and its payload
     ``step(i, lam, nu)`` is computed once, and a repeated state is charged
-    its subtree's nodes in the plain walk.  It folds the payloads of each
-    chain, ``fold(state, payload)`` from ``start``, and returns the final
-    states in the plain walk's order.  ``value_caps`` optionally bounds the
-    part values per chain index.  ``mu`` is a tuple.
+    its subtree's nodes in the plain walk.  Each chain's payloads are
+    folded, ``fold(state, payload)`` from ``start``, into the goals of the
+    returned ``Found``, in the plain walk's order; by default a payload is
+    ``(nu,)`` and a goal is the chain itself.  ``value_caps`` optionally
+    bounds the part values per chain index.  ``mu`` is a tuple.
     """
     if not is_partition(mu):
         raise ValueError(f"not a partition: {mu}")
@@ -109,7 +111,7 @@ def chain_search(mu, case, cap, value_caps, step, fold, start) -> list:
     bound = pad(target, len(mu))
     budget = SearchBudget("chain", cap)
     if ell == 0:  # mu = () in case 1: the empty chain, and no rows
-        return [()]
+        return Found((), fold, 1, None)
 
     def successors(state):
         i, lam = state
@@ -133,11 +135,10 @@ def enumerate_sequences(
     """Exhaustively list the chains ending at mu, in lexicographic order.
 
     ``value_caps`` optionally bounds the part values per chain index (used
-    by the restricted variant below).  In the chain search, the payload of
-    a step to nu is ``(nu,)`` and the state is the chain so far.
+    by the restricted variant below).
     """
     mu = tuple(mu)
-    chains = chain_search(mu, case, cap, value_caps, lambda i, lam, nu: (nu,), add, ((),))
+    chains = chain_search(mu, case, cap, value_caps)
     return [PartitionSequence(case, mu, chain) for chain in chains]
 
 

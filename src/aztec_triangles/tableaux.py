@@ -12,6 +12,7 @@ from functools import partial
 from operator import add
 from typing import NamedTuple
 
+from .errors import Found
 from .partitions import Partition, is_partition, normalize, pad, part
 from .sequences import PartitionSequence, chain_length, chain_search, validate_sequence
 
@@ -129,17 +130,19 @@ def tableau_to_sequence(t: SuperSymplecticTableau) -> PartitionSequence:
     return PartitionSequence(t.case, t.shape, tuple(chain))
 
 
+def filling_search(mu: Partition, case: int, cap: int | None = None) -> Found:
+    """The row tuples of the type-1/type-2 tableaux of shape mu, in chain
+    order.  The chain search builds them itself, so no chain is kept or
+    validated again: the payload of a step is the cells it adds,
+    ``_cells``, and the state is the tuple of rows."""
+    n = len(mu)
+    return chain_search(mu, case, cap, None, partial(_cells, n), _grow, ((),) * n)
+
+
 def enumerate_tableaux(
     mu: Partition, case: int, cap: int | None = None
 ) -> list[SuperSymplecticTableau]:
-    """All type-1/type-2 tableaux of shape mu, in chain order.
-
-    The chain search builds them itself, so no chain is kept or validated
-    again: the payload of a step is the cells it adds, ``_cells``, and the
-    state is the tuple of rows.
-    """
+    """All type-1/type-2 tableaux of shape mu, in chain order."""
     mu = tuple(mu)
-    fillings = chain_search(
-        mu, case, cap, None, partial(_cells, len(mu)), _grow, ((),) * len(mu)
-    )
+    fillings = filling_search(mu, case, cap)
     return [SuperSymplecticTableau(case, mu, rows) for rows in fillings]

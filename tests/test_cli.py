@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,86 @@ def test_enumerate_stream_digest(capsys, model):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STREAM_DIGESTS[model]
+
+
+COUNT_321_CASE_2 = 352
+
+
+@pytest.mark.parametrize("model", ["paths", "sequence", "tableau", "tiling"])
+def test_enumerate_limit_prints_a_prefix_under_the_full_count(capsys, model):
+    argv = ("enumerate", "--mu", "3,2,1", "--case", "2", "--model", model)
+    _, full, _ = run_cli(capsys, *argv)
+    stream = full.splitlines()[1:]
+    assert len(stream) == COUNT_321_CASE_2
+    for limit in (0, 1, COUNT_321_CASE_2 - 1, COUNT_321_CASE_2, COUNT_321_CASE_2 + 3):
+        code, out, err = run_cli(capsys, *argv, "--limit", str(limit))
+        assert code == 0 and err == ""
+        header, *items = out.splitlines()
+        emitted = min(limit, COUNT_321_CASE_2)
+        assert json.loads(header) == {
+            "mu": [3, 2, 1], "case": 2, "model": model,
+            "count": COUNT_321_CASE_2, "emitted": emitted,
+        }
+        assert items == stream[:emitted], limit
+
+
+def test_render_every_tiling_index_draws_that_tiling(capsys):
+    from aztec_triangles.domains import build_domain, enumerate_tilings, render
+
+    tilings = enumerate_tilings(build_domain((3, 2, 1), 2))
+    assert len(tilings) == COUNT_321_CASE_2
+    for i, tiling in enumerate(tilings):
+        code, out, _ = run_cli(
+            capsys, "render", "--mu", "3,2,1", "--case", "2",
+            "--tiling-index", str(i), "--format", "ascii",
+        )
+        assert code == 0 and out == render(tiling, "ascii"), i
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """How many of each of the four item classes are built."""
+    from aztec_triangles.domains import Tiling
+    from aztec_triangles.paths import PathFamily
+    from aztec_triangles.sequences import PartitionSequence
+    from aztec_triangles.tableaux import SuperSymplecticTableau
+
+    made = Counter()
+    for cls in (Tiling, PartitionSequence, SuperSymplecticTableau, PathFamily):
+        def counted(self, *args, init=cls.__init__, name=cls.__name__):
+            made[name] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+BIG_CASE_2 = ("--mu", "4,3,2,1", "--case", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, items",
+    [
+        (("crosscheck", *BIG_CASE_2), 0),
+        (("count", *BIG_CASE_2, "--method", "brute"), 0),
+        (("enumerate", *BIG_CASE_2, "--model", "sequence", "--limit", "10"), 10),
+        (("render", *BIG_CASE_2, "--tiling-index", "8358", "--format", "ascii"), 1),
+    ],
+    ids=["crosscheck", "count", "enumerate-limit", "render-index"],
+)
+def test_each_call_builds_only_what_it_prints(capsys, built, argv, items):
+    # the counts come from the searches' goal counts; only printed items are
+    # wrapped in their model's class
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and out
+    assert sum(built.values()) == items, built
+
+
+@pytest.mark.parametrize("cap, code, out", [("425888", 0, "32032\n"), ("425887", 3, "")])
+def test_brute_count_cap_threshold(capsys, monkeypatch, cap, code, out):
+    # the (4,3,2,1) case-2 tiling search walks exactly 425,888 nodes
+    monkeypatch.setenv("AZTEC_CAP", cap)
+    assert run_cli(capsys, "count", *BIG_CASE_2, "--method", "brute")[:2] == (code, out)
 
 
 def test_enumerate_models(capsys):

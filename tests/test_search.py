@@ -11,7 +11,7 @@ import pytest
 
 from conftest import small_partitions
 
-from aztec_triangles import domains, paths, sequences
+from aztec_triangles import domains, paths, sequences, tableaux
 from aztec_triangles.errors import CapExceeded, SearchBudget
 from aztec_triangles.partitions import (
     is_horizontal_strip,
@@ -193,3 +193,39 @@ def test_search_depth_needs_no_python_stack(search):
         assert len(search()) == 1
     finally:
         sys.setrecursionlimit(limit)
+
+
+# each model's search, its public list, and the goal each listed item wraps
+SEARCHES = {
+    "tilings": (
+        lambda mu, case: domains.tiling_search(domains.build_domain(mu, case)),
+        lambda mu, case: domains.enumerate_tilings(domains.build_domain(mu, case)),
+        lambda tiling: tiling.dominoes,
+    ),
+    "sequences": (
+        sequences.chain_search, sequences.enumerate_sequences, lambda seq: seq.chain
+    ),
+    "tableaux": (tableaux.filling_search, enumerate_tableaux, lambda t: t.rows),
+    "paths": (
+        paths.family_search, paths.enumerate_path_families, lambda f: f.paths
+    ),
+}
+
+
+@pytest.mark.parametrize("case", [1, 2])
+@pytest.mark.parametrize("model", sorted(SEARCHES))
+def test_found_counts_streams_and_indexes_the_listed_goals(budgets, model, case):
+    search, enumerate_model, goal = SEARCHES[model]
+    for mu in small_partitions(3, 3):
+        listed = [goal(item) for item in enumerate_model(mu, case)]
+        budgets.clear()
+        found = search(mu, case)
+        assert len(found) == len(listed), mu
+        charged = [b.used for b in budgets]
+        assert list(found) == listed, mu
+        assert [found[i] for i in range(len(found))] == listed, mu
+        for i in (len(listed), -1):
+            with pytest.raises(IndexError):
+                found[i]
+        # every node is charged while counting: folding charges none
+        assert [b.used for b in budgets] == charged, mu

@@ -1,4 +1,5 @@
 import gc
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -13,10 +14,12 @@ from aztec_triangles.partitions import (
     is_partition,
     is_vertical_strip,
     normalize,
+    part,
 )
 from aztec_triangles.paths import enumerate_path_families
 from aztec_triangles.sequences import (
     PartitionSequence,
+    _strip_extensions,
     chain_length,
     count_sequences,
     enumerate_restricted,
@@ -235,3 +238,31 @@ def test_search_leaves_no_garbage_cycles(enumerate_model):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def strip_extensions_by_filter(lam, bound, max_parts, value_cap, vertical):
+    """The reference: every tuple in the per-row ranges, kept when it is a
+    partition."""
+    ranges = []
+    for r in range(min(max_parts, len(bound))):
+        lo = part(lam, r)
+        top = lo + 1 if vertical else part(lam, r - 1) if r else bound[r]
+        hi = min(bound[r], top)
+        if value_cap is not None:
+            hi = min(hi, value_cap)
+        ranges.append(range(lo, hi + 1))
+    return [normalize(nu) for nu in product(*ranges) if is_partition(nu)]
+
+
+def test_strip_extensions_match_product_and_filter():
+    checked = 0
+    for bound in small_partitions(4, 4):
+        inside = {normalize(lam) for lam in small_partitions(4, len(bound))
+                  if all(a <= b for a, b in zip(lam, bound))}
+        for lam, max_parts, value_cap, vertical in product(
+            sorted(inside), range(len(bound) + 1), (None, 0, 1, 2, 3, 4), (False, True)
+        ):
+            args = (lam, bound, max_parts, value_cap, vertical)
+            assert _strip_extensions(*args) == strip_extensions_by_filter(*args), args
+            checked += 1
+    assert checked > 10_000
