@@ -19,7 +19,6 @@ tableau, chain or tiling models, and ``--help`` loads none of them.
 import argparse
 import json
 import sys
-from functools import partial
 from itertools import islice
 
 from .errors import CapExceeded, IdentityError
@@ -69,7 +68,7 @@ def _cmd_count(args) -> int:
             product_case1(k, 2 * n) if args.case == 1 else product_case2(k, n)
         )
     else:  # brute
-        value = len(_search("tiling", mu, args.case)[0])
+        value = len(_items("tiling", mu, args.case))
     print(value)
     return 0
 
@@ -77,38 +76,37 @@ def _cmd_count(args) -> int:
 _MODELS = ("paths", "sequence", "tableau", "tiling")
 
 
-def _search(model: str, mu: Partition, case: int):
-    """One model's search and the class call that wraps each of its goals,
-    importing only that model's module."""
+def _items(model: str, mu: Partition, case: int):
+    """One model's objects, built as they are read, importing only that
+    model's module."""
     if model == "sequence":
-        from .sequences import PartitionSequence, chain_search
+        from .sequences import enumerate_sequences
 
-        return chain_search(mu, case), partial(PartitionSequence, case, mu)
+        return enumerate_sequences(mu, case, lazy=True)
     if model == "tableau":
-        from .tableaux import SuperSymplecticTableau, filling_search
+        from .tableaux import enumerate_tableaux
 
-        return filling_search(mu, case), partial(SuperSymplecticTableau, case, mu)
+        return enumerate_tableaux(mu, case, lazy=True)
     if model == "paths":
-        from .paths import PathFamily, family_search
+        from .paths import enumerate_path_families
 
-        return family_search(mu, case), partial(PathFamily, case, mu)
-    from .domains import Tiling, build_domain, tiling_search
+        return enumerate_path_families(mu, case, lazy=True)
+    from .domains import build_domain, enumerate_tilings
 
-    domain = build_domain(mu, case)
-    return tiling_search(domain), partial(Tiling, domain)
+    return enumerate_tilings(build_domain(mu, case), lazy=True)
 
 
 def _cmd_enumerate(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     mu = parse_partition(args.mu)
-    found, wrap = _search(args.model, mu, args.case)
-    total = len(found)
+    items = _items(args.model, mu, args.case)
+    total = len(items)
     emitted = total if args.limit is None else min(args.limit, total)
     print(json.dumps({"mu": list(mu), "case": args.case, "model": args.model,
                       "count": total, "emitted": emitted}))
-    for item in islice(found, args.limit):
-        print(json.dumps(wrap(item).to_json()))
+    for item in islice(items, args.limit):
+        print(json.dumps(item.to_json()))
     return 0
 
 
@@ -118,10 +116,10 @@ def _cmd_crosscheck(args) -> int:
     mu = parse_partition(args.mu)
     case = args.case
     counts = {
-        "sequences": len(_search("sequence", mu, case)[0]),
-        "tableaux": len(_search("tableau", mu, case)[0]),
-        "paths": len(_search("paths", mu, case)[0]),
-        "tilings": len(_search("tiling", mu, case)[0]),
+        "sequences": len(_items("sequence", mu, case)),
+        "tableaux": len(_items("tableau", mu, case)),
+        "paths": len(_items("paths", mu, case)),
+        "tilings": len(_items("tiling", mu, case)),
         "determinant": count_sequences(mu, case),
     }
     agree = len(set(counts.values())) == 1
@@ -144,12 +142,12 @@ def _cmd_render(args) -> int:
     if args.tiling_index is None:
         text = render(build_domain(mu, args.case), args.format)
     else:
-        found, wrap = _search("tiling", mu, args.case)
-        if not 0 <= args.tiling_index < len(found):
+        tilings = _items("tiling", mu, args.case)
+        if not 0 <= args.tiling_index < len(tilings):
             raise ValueError(
-                f"tiling index {args.tiling_index} out of range (0..{len(found) - 1})"
+                f"tiling index {args.tiling_index} out of range (0..{len(tilings) - 1})"
             )
-        text = render(wrap(found[args.tiling_index]), args.format)
+        text = render(tilings[args.tiling_index], args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -21,6 +21,7 @@ correspondence produces the partition chain.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from operator import add
 
 from .errors import Found, SearchBudget, memo_search
@@ -117,10 +118,13 @@ def validate_tiling(tiling: Tiling) -> bool:
     )
 
 
-def tiling_search(domain: Domain, cap: int | None = None) -> Found:
-    """The domino tuples of the domain's tilings: backtracking exact cover
-    over the first uncovered cell in (d, p) order; that cell is always the
-    start of some domino.
+def enumerate_tilings(
+    domain: Domain, cap: int | None = None, lazy: bool = False
+) -> list[Tiling] | Found:
+    """Every tiling of the domain, sorted by its dominoes: backtracking exact
+    cover over the first uncovered cell in (d, p) order; that cell is always
+    the start of some domino.  With ``lazy``, the search's ``Found``: its
+    ``len`` is the count, and it builds a tiling only when one is read.
 
     The walk runs on ``memo_search``, whose state, the bitmask of covered
     cells, fixes the rest of the walk.  It expands each state once and
@@ -128,8 +132,8 @@ def tiling_search(domain: Domain, cap: int | None = None) -> Found:
 
     Each cell's dominoes are built once, H before V.  Dominoes are placed in
     start-cell order and ``Domino`` orders "H" < "V", so every tiling comes
-    out with sorted dominoes and the tilings come out sorted by their
-    dominoes without a sort."""
+    out with sorted dominoes and the list comes out sorted by ``t.dominoes``
+    without a sort."""
     cells = domain.sorted_cells()
     index = {cell: i for i, cell in enumerate(cells)}
     # each step covers cell i and its partner: a one-domino payload and two bits
@@ -150,12 +154,9 @@ def tiling_search(domain: Domain, cap: int | None = None) -> Found:
             (tile, covered | bits) for tile, bits in options[i] if not covered & bits
         ]
 
-    return memo_search(0, successors, add, (), SearchBudget("tiling", cap))
-
-
-def enumerate_tilings(domain: Domain, cap: int | None = None) -> list[Tiling]:
-    """Every tiling of the domain, sorted by its dominoes: ``tiling_search``'s."""
-    return [Tiling(domain, dominoes) for dominoes in tiling_search(domain, cap)]
+    found = memo_search(0, successors, add, (), SearchBudget("tiling", cap),
+                        partial(Tiling, domain))
+    return found if lazy else list(found)
 
 
 def _mark_cells(tiling: Tiling) -> dict:

@@ -43,30 +43,32 @@ class SearchBudget:
 
 
 class Found:
-    """The goals of one ``memo_search``, kept as its live steps.
+    """The items of one ``memo_search``, kept as its live steps.
 
-    ``len`` is the goal count, iterating folds each goal's payloads in walk
-    order, and ``found[i]`` folds the payloads on the way to goal i alone,
-    choosing each step by the goal counts below it."""
+    ``len`` is the goal count.  Iterating builds each item, ``wrap`` of the
+    fold of a goal's payloads, in walk order; ``found[i]`` builds item i
+    alone, choosing each step on the way by the goal counts below it."""
 
-    __slots__ = ("start", "fold", "goals", "live")
+    __slots__ = ("start", "fold", "goals", "live", "wrap")
 
-    def __init__(self, start, fold, goals, live):
+    def __init__(self, start, fold, goals, live, wrap):
         self.start, self.fold, self.goals, self.live = start, fold, goals, live
+        self.wrap = wrap
 
     def __len__(self):
         return self.goals
 
     def __iter__(self):
+        wrap = self.wrap
         if self.live is None:
-            yield self.start
+            yield wrap(self.start)
             return
         fold, stack = self.fold, [(self.start, iter(self.live))]
         while stack:
             acc, steps = stack[-1]
             for payload, _, below in steps:
                 if below is None:
-                    yield fold(acc, payload)
+                    yield wrap(fold(acc, payload))
                 else:
                     stack.append((fold(acc, payload), iter(below)))
                     break
@@ -83,12 +85,13 @@ class Found:
                     acc, steps = self.fold(acc, payload), below
                     break
                 i -= goals
-        return acc
+        return self.wrap(acc)
 
 
-def memo_search(root, successors, fold, start, budget: SearchBudget) -> Found:
-    """The goals below ``root``, each the fold from ``start`` of the payloads
-    on the way to it, in the order of the plain depth-first walk.
+def memo_search(root, successors, fold, start, budget: SearchBudget, wrap) -> Found:
+    """The items of the goals below ``root``, each ``wrap`` of the fold from
+    ``start`` of the payloads on the way to it, in the order of the plain
+    depth-first walk.
 
     ``successors(state)`` is None at a goal, else the ``(payload, child)``
     steps in walk order; a state's subtree depends on the state alone.
@@ -135,4 +138,4 @@ def memo_search(root, successors, fold, start, budget: SearchBudget) -> Found:
             stack.append(expand(child))
         else:
             budget.spend(entry[0])
-    return Found(start, fold, *entry[1:])  # the root's goal count and live steps
+    return Found(start, fold, *entry[1:], wrap)  # the root's goal count and live steps

@@ -17,6 +17,7 @@ here as well.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from operator import add
 
 from .delannoy import d_submatrix, lgv_matrix  # noqa: F401
@@ -175,14 +176,17 @@ def _single_paths(start, end, ban_final_east, budget):
             steps.append(("N", (dx, dy - 1)))
         return steps
 
-    return list(memo_search((dx0, dy0), successors, add, "", budget))
+    return list(memo_search((dx0, dy0), successors, add, "", budget, str))
 
 
-def family_search(mu: Partition, case: int, cap: int | None = None) -> Found:
-    """The path tuples of the vertex-disjoint families with the prescribed
-    endpoints, in lexicographic order of their step words: ``memo_search``
-    over states (j, points of path j-1), charged like ``_single_paths``."""
-    mu = check_partition(mu)
+def enumerate_path_families(
+    mu: Partition, case: int, cap: int | None = None, lazy: bool = False
+) -> list[PathFamily] | Found:
+    """Brute-force the vertex-disjoint families with the prescribed endpoints,
+    in lexicographic order of their step words: ``memo_search`` over states
+    (j, points of path j-1), charged like ``_single_paths``.  With ``lazy``,
+    the search's ``Found``, which builds a family only when one is read."""
+    mu = check_partition(tuple(mu))
     n = len(mu)
     budget = SearchBudget("path", cap)
     mu_full = pad(mu, n)
@@ -203,12 +207,6 @@ def family_search(mu: Partition, case: int, cap: int | None = None) -> Found:
         return [(payload, (j + 1, pts)) for payload, pts in candidates[j - 1]
                 if before.isdisjoint(pts)]
 
-    return memo_search((1, frozenset()), successors, add, (), budget)
-
-
-def enumerate_path_families(
-    mu: Partition, case: int, cap: int | None = None
-) -> list[PathFamily]:
-    """Brute-force the families of ``family_search``, in its order."""
-    mu = tuple(mu)
-    return [PathFamily(case, mu, paths) for paths in family_search(mu, case, cap)]
+    found = memo_search((1, frozenset()), successors, add, (), budget,
+                        partial(PathFamily, case, mu))
+    return found if lazy else list(found)

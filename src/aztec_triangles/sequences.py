@@ -7,6 +7,7 @@ parts.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from operator import add
 
 from .errors import Found, SearchBudget, memo_search
@@ -90,8 +91,7 @@ def _strip_extensions(lam, bound, max_parts, value_cap, vertical):
     return [normalize(nu) for nu in found]
 
 
-def chain_search(mu, case, cap=None, value_caps=None,
-                 step=lambda i, lam, nu: (nu,), fold=add, start=((),)) -> Found:
+def chain_search(mu, case, cap, value_caps, step, fold, start, wrap) -> Found:
     """The one chain search: a depth-first walk over the chains ending at
     mu, in lexicographic order, charging one budget node per chain prefix.
 
@@ -99,10 +99,10 @@ def chain_search(mu, case, cap=None, value_caps=None,
     walk runs on ``memo_search`` with that state: each step and its payload
     ``step(i, lam, nu)`` is computed once, and a repeated state is charged
     its subtree's nodes in the plain walk.  Each chain's payloads are
-    folded, ``fold(state, payload)`` from ``start``, into the goals of the
-    returned ``Found``, in the plain walk's order; by default a payload is
-    ``(nu,)`` and a goal is the chain itself.  ``value_caps`` optionally
-    bounds the part values per chain index.  ``mu`` is a tuple.
+    folded, ``fold(state, payload)`` from ``start``, and the returned
+    ``Found`` builds ``wrap`` of each fold in the plain walk's order.
+    ``value_caps`` optionally bounds the part values per chain index.
+    ``mu`` is a tuple.
     """
     if not is_partition(mu):
         raise ValueError(f"not a partition: {mu}")
@@ -111,7 +111,7 @@ def chain_search(mu, case, cap=None, value_caps=None,
     bound = pad(target, len(mu))
     budget = SearchBudget("chain", cap)
     if ell == 0:  # mu = () in case 1: the empty chain, and no rows
-        return Found((), fold, 1, None)
+        return Found((), fold, 1, None, wrap)
 
     def successors(state):
         i, lam = state
@@ -123,7 +123,7 @@ def chain_search(mu, case, cap=None, value_caps=None,
             options = [nu for nu in options if nu == target]
         return [(step(i, lam, nu), (i + 1, nu)) for nu in options]
 
-    return memo_search((1, ()), successors, fold, start, budget)
+    return memo_search((1, ()), successors, fold, start, budget, wrap)
 
 
 def enumerate_sequences(
@@ -131,15 +131,20 @@ def enumerate_sequences(
     case: int,
     cap: int | None = None,
     value_caps=None,
-) -> list[PartitionSequence]:
+    lazy: bool = False,
+) -> list[PartitionSequence] | Found:
     """Exhaustively list the chains ending at mu, in lexicographic order.
 
     ``value_caps`` optionally bounds the part values per chain index (used
-    by the restricted variant below).
+    by the restricted variant below).  In the chain search, the payload of
+    a step to nu is ``(nu,)`` and the state is the chain so far.  With
+    ``lazy``, the search's ``Found``, which builds a sequence only when one
+    is read.
     """
     mu = tuple(mu)
-    chains = chain_search(mu, case, cap, value_caps)
-    return [PartitionSequence(case, mu, chain) for chain in chains]
+    chains = chain_search(mu, case, cap, value_caps, lambda i, lam, nu: (nu,), add,
+                          ((),), partial(PartitionSequence, case, mu))
+    return chains if lazy else list(chains)
 
 
 def count_sequences(mu: Partition, case: int) -> int:

@@ -130,19 +130,17 @@ def tableau_to_sequence(t: SuperSymplecticTableau) -> PartitionSequence:
     return PartitionSequence(t.case, t.shape, tuple(chain))
 
 
-def filling_search(mu: Partition, case: int, cap: int | None = None) -> Found:
-    """The row tuples of the type-1/type-2 tableaux of shape mu, in chain
-    order.  The chain search builds them itself, so no chain is kept or
-    validated again: the payload of a step is the cells it adds,
-    ``_cells``, and the state is the tuple of rows."""
-    n = len(mu)
-    return chain_search(mu, case, cap, None, partial(_cells, n), _grow, ((),) * n)
-
-
 def enumerate_tableaux(
-    mu: Partition, case: int, cap: int | None = None
-) -> list[SuperSymplecticTableau]:
-    """All type-1/type-2 tableaux of shape mu, in chain order."""
+    mu: Partition, case: int, cap: int | None = None, lazy: bool = False
+) -> list[SuperSymplecticTableau] | Found:
+    """All type-1/type-2 tableaux of shape mu, in chain order.
+
+    The chain search builds them itself, so no chain is kept or validated
+    again: the payload of a step is the cells it adds, ``_cells``, and the
+    state is the tuple of rows.  With ``lazy``, the search's ``Found``,
+    which builds a tableau only when one is read.
+    """
     mu = tuple(mu)
-    fillings = filling_search(mu, case, cap)
-    return [SuperSymplecticTableau(case, mu, rows) for rows in fillings]
+    fillings = chain_search(mu, case, cap, None, partial(_cells, len(mu)), _grow,
+                            ((),) * len(mu), partial(SuperSymplecticTableau, case, mu))
+    return fillings if lazy else list(fillings)

@@ -195,33 +195,29 @@ def test_search_depth_needs_no_python_stack(search):
         sys.setrecursionlimit(limit)
 
 
-# each model's search, its public list, and the goal each listed item wraps
-SEARCHES = {
-    "tilings": (
-        lambda mu, case: domains.tiling_search(domains.build_domain(mu, case)),
-        lambda mu, case: domains.enumerate_tilings(domains.build_domain(mu, case)),
-        lambda tiling: tiling.dominoes,
+# each model's enumerator, given (mu, case) and keywords
+ENUMERATORS = {
+    "tilings": lambda mu, case, **kw: domains.enumerate_tilings(
+        domains.build_domain(mu, case), **kw
     ),
-    "sequences": (
-        sequences.chain_search, sequences.enumerate_sequences, lambda seq: seq.chain
-    ),
-    "tableaux": (tableaux.filling_search, enumerate_tableaux, lambda t: t.rows),
-    "paths": (
-        paths.family_search, paths.enumerate_path_families, lambda f: f.paths
-    ),
+    "sequences": sequences.enumerate_sequences,
+    "tableaux": enumerate_tableaux,
+    "paths": paths.enumerate_path_families,
 }
 
 
 @pytest.mark.parametrize("case", [1, 2])
-@pytest.mark.parametrize("model", sorted(SEARCHES))
-def test_found_counts_streams_and_indexes_the_listed_goals(budgets, model, case):
-    search, enumerate_model, goal = SEARCHES[model]
+@pytest.mark.parametrize("model", sorted(ENUMERATORS))
+def test_lazy_found_counts_streams_and_indexes_the_list(budgets, model, case):
+    enumerate_model = ENUMERATORS[model]
     for mu in small_partitions(3, 3):
-        listed = [goal(item) for item in enumerate_model(mu, case)]
         budgets.clear()
-        found = search(mu, case)
-        assert len(found) == len(listed), mu
+        listed = enumerate_model(mu, case)
         charged = [b.used for b in budgets]
+        budgets.clear()
+        found = enumerate_model(mu, case, lazy=True)
+        assert len(found) == len(listed), mu
+        assert [b.used for b in budgets] == charged, mu
         assert list(found) == listed, mu
         assert [found[i] for i in range(len(found))] == listed, mu
         for i in (len(listed), -1):
