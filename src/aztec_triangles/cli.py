@@ -7,6 +7,8 @@ object per element in canonical order; verify prints a JSON report array.
 Brute-force counts (``count --method brute``, ``crosscheck``, the enumerate
 header) are the searches' goal counts and build no object; ``enumerate
 --limit`` and ``render --tiling-index`` build only the objects they print.
+A stream (``sequences.json_lines``) encodes the fields its objects share
+once, and each distinct part (domino, chain entry, row, path) once.
 
 Exit codes: 0 success / all checks pass, 1 a verification or crosscheck
 failed, 2 invalid input, 3 enumeration cap exceeded (see AZTEC_CAP).
@@ -105,8 +107,9 @@ def _cmd_enumerate(args) -> int:
     emitted = total if args.limit is None else min(args.limit, total)
     print(json.dumps({"mu": list(mu), "case": args.case, "model": args.model,
                       "count": total, "emitted": emitted}))
-    for item in islice(items, args.limit):
-        print(json.dumps(item.to_json()))
+    from .sequences import json_lines
+
+    sys.stdout.writelines(json_lines(islice(items, args.limit)))
     return 0
 
 

@@ -16,10 +16,10 @@ single ``Fraction`` at the end.  Every count the CLI prints takes the
 
 ``lgv_matrix`` and ``d_submatrix`` assemble the LGV and staircase
 matrices, and ``lgv_determinant`` counts by the LGV matrix.  They live
-here, not in ``paths``, so that a determinant count loads neither the path,
-tableau and chain models nor ``dataclasses``; ``paths`` still binds both
-names.  The LGV matrix reads its entries one by one from ``delannoy_D``
-and ``delannoy_H``.  Both staircase matrices, D1(k; n) at any rational n
+here, not in ``paths``, so that a determinant count loads none of the path,
+tableau and chain models; ``paths`` still binds both names.  The LGV
+matrix reads its entries one by one from ``delannoy_D`` and
+``delannoy_H``.  Both staircase matrices, D1(k; n) at any rational n
 and D2(k; n) at an integer n, read theirs off one ``int`` table of
 D(a, n-1-j) that two recurrences fill (``_delannoy_table``).  Nothing here
 keeps state between calls: a caller that looks the same values up again

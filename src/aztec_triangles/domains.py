@@ -20,9 +20,9 @@ with particles; reading each diagonal's hole/particle word through the Maya
 correspondence produces the partition chain.
 """
 
-from dataclasses import dataclass
 from functools import partial
 from operator import add
+from typing import NamedTuple
 
 from .errors import Found, SearchBudget, memo_search
 from .partitions import (
@@ -41,8 +41,7 @@ VERTICAL = "V"
 HORIZONTAL = "H"
 
 
-@dataclass(frozen=True, slots=True)
-class Domain:
+class Domain(NamedTuple):
     case: int
     mu: Partition
     lengths: tuple[int, ...]  # unmasked length of each diagonal
@@ -60,8 +59,7 @@ class Domain:
         return sorted(self.cells)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Domino:
+class Domino(NamedTuple):
     d: int
     p: int
     orient: str  # "V" or "H"
@@ -78,8 +76,7 @@ class Domino:
         return {"d": self.d, "p": self.p, "orient": self.orient}
 
 
-@dataclass(frozen=True, slots=True)
-class Tiling:
+class Tiling(NamedTuple):
     domain: Domain
     dominoes: tuple[Domino, ...]
 

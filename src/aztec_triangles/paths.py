@@ -16,9 +16,9 @@ imports this module or the tableaux it draws on; the two names are bound
 here as well.
 """
 
-from dataclasses import dataclass
 from functools import partial
 from operator import add
+from typing import NamedTuple
 
 from .delannoy import d_submatrix, lgv_matrix  # noqa: F401
 from .errors import Found, SearchBudget, memo_search
@@ -28,8 +28,7 @@ from .tableaux import Entry, SuperSymplecticTableau, validate_tableau
 _MOVES = {"N": (0, 1), "D": (1, 1), "E": (1, 0)}
 
 
-@dataclass(frozen=True, slots=True)
-class LatticePath:
+class LatticePath(NamedTuple):
     start: tuple[int, int]
     steps: str
 
@@ -47,8 +46,7 @@ class LatticePath:
         return self.points()[-1]
 
 
-@dataclass(frozen=True, slots=True)
-class PathFamily:
+class PathFamily(NamedTuple):
     case: int
     mu: Partition
     paths: tuple[LatticePath, ...]  # paths[j-1] starts at (-j, j)

@@ -6,9 +6,10 @@ vertical strip growth, and its i-th entry has at most ceil(i/2) nonzero
 parts.
 """
 
-from dataclasses import dataclass
-from functools import partial
+import json
+from functools import cache, partial
 from operator import add
+from typing import NamedTuple
 
 from .errors import Found, SearchBudget, memo_search
 from .partitions import (
@@ -22,8 +23,7 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionSequence:
+class PartitionSequence(NamedTuple):
     case: int
     mu: Partition
     chain: tuple[Partition, ...]
@@ -42,6 +42,25 @@ class PartitionSequence:
             "case": self.case,
             "chain": [list(lam) for lam in self.chain],
         }
+
+
+def json_lines(items):
+    """The lines ``json.dumps(item.to_json())`` of one stream's items, which
+    differ only in their last field, whose element i alone makes element i
+    of the list ending their JSON.  The head before that list is encoded
+    once, and so is each (i, element), from an item holding i + 1 copies."""
+    text = None
+    for item in items:
+        if text is None:
+            field = item._fields[-1]
+            head = json.dumps(item._replace(**{field: ()}).to_json())[:-2]  # to the "["
+
+            @cache
+            def text(i_part):
+                i, part = i_part
+                shell = item._replace(**{field: (part,) * (i + 1)})
+                return json.dumps([*shell.to_json().values()][-1][i])
+        yield f"{head}{', '.join(map(text, enumerate(item[-1])))}]}}\n"
 
 
 def chain_length(mu: Partition, case: int) -> int:

@@ -7,7 +7,6 @@ and no value smaller than its row index may appear (rows 1-based).
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
 from operator import add
 from typing import NamedTuple
@@ -31,8 +30,7 @@ class Entry(NamedTuple):
         return cls(int(text), False)
 
 
-@dataclass(frozen=True, slots=True)
-class SuperSymplecticTableau:
+class SuperSymplecticTableau(NamedTuple):
     case: int
     shape: Partition
     rows: tuple[tuple[Entry, ...], ...]

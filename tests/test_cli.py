@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import small_partitions
+
 import aztec_triangles
 from aztec_triangles import cli, verify
 from aztec_triangles.cli import main, parse_partition
@@ -155,6 +157,34 @@ def test_enumerate_limit_prints_a_prefix_under_the_full_count(capsys, model):
         assert items == stream[:emitted], limit
 
 
+def list_enumerator(model):
+    """The model's list enumerator, called as f(mu, case)."""
+    from aztec_triangles import domains, paths, sequences, tableaux
+
+    return {
+        "paths": paths.enumerate_path_families,
+        "sequence": sequences.enumerate_sequences,
+        "tableau": tableaux.enumerate_tableaux,
+        "tiling": lambda mu, case: domains.enumerate_tilings(domains.build_domain(mu, case)),
+    }[model]
+
+
+@pytest.mark.parametrize("case", [1, 2])
+@pytest.mark.parametrize("model", ["paths", "sequence", "tableau", "tiling"])
+def test_enumerate_lines_are_each_items_json(capsys, model, case):
+    # the stream encodes shared parts once; each line must still be exactly
+    # json.dumps of that item's to_json
+    for mu in sorted({*small_partitions(3, 3), (), (0, 0)}):
+        expected = [json.dumps(x.to_json()) for x in list_enumerator(model)(mu, case)]
+        argv = ("enumerate", "--mu", ",".join(map(str, mu)), "--case", str(case),
+                "--model", model)
+        for limit in (None, 0, 1):
+            more = () if limit is None else ("--limit", str(limit))
+            code, out, err = run_cli(capsys, *argv, *more)
+            assert code == 0 and err == "", (mu, limit)
+            assert out.splitlines()[1:] == expected[:limit], (mu, limit)
+
+
 def test_render_every_tiling_index_draws_that_tiling(capsys):
     from aztec_triangles.domains import build_domain, enumerate_tilings, render
 
@@ -178,11 +208,11 @@ def built(monkeypatch):
 
     made = Counter()
     for cls in (Tiling, PartitionSequence, SuperSymplecticTableau, PathFamily):
-        def counted(self, *args, init=cls.__init__, name=cls.__name__):
+        def counted(kind, *args, new=cls.__new__, name=cls.__name__):
             made[name] += 1
-            init(self, *args)
+            return new(kind, *args)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+        monkeypatch.setattr(cls, "__new__", counted)
     return made
 
 
@@ -643,10 +673,30 @@ def test_verb_imports_only_what_it_runs(argv, absent):
     assert not {f"aztec_triangles.{name}" for name in absent} & loaded, loaded
 
 
-@pytest.mark.parametrize("suite", ["kernels", "delannoy"])
-def test_verify_loads_no_dataclasses(suite):
-    loaded = loaded_modules(CLI_MAIN, "verify", "--suite", suite, "--kmax", "2")
-    assert "aztec_triangles.verify" in loaded
+MODEL_MODULES = {"paths": "paths", "sequence": "sequences", "tableau": "tableaux",
+                 "tiling": "domains"}
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (("verify", "--suite", "kernels", "--kmax", "2"), "verify"),
+        (("verify", "--suite", "delannoy", "--kmax", "2"), "verify"),
+        *[(("enumerate", "--mu", "2,1", "--case", "2", "--model", model), module)
+          for model, module in MODEL_MODULES.items()],
+        (("crosscheck", "--mu", "2,1", "--case", "2"), "paths"),
+        (("count", "--mu", "2,1", "--case", "2", "--method", "brute"), "domains"),
+        (("render", "--mu", "2,1", "--case", "2", "--tiling-index", "1",
+          "--format", "ascii"), "domains"),
+    ],
+    ids=["kernels", "delannoy", *[f"enumerate-{m}" for m in MODEL_MODULES],
+         "crosscheck", "count-brute", "render-index"],
+)
+def test_verify_loads_no_dataclasses(argv, module):
+    # model objects are NamedTuples: no call imports dataclasses, or the
+    # inspect module it pulls in
+    loaded = loaded_modules(CLI_MAIN, *argv)
+    assert f"aztec_triangles.{module}" in loaded
     assert not set(WATCHED) & loaded, loaded
 
 

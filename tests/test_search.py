@@ -225,3 +225,42 @@ def test_lazy_found_counts_streams_and_indexes_the_list(budgets, model, case):
                 found[i]
         # every node is charged while counting: folding charges none
         assert [b.used for b in budgets] == charged, mu
+
+
+# One valid object of each model class, its fields in order, and its repr.
+VALUES = [
+    (domains.build_domain((1,), 1), ("case", "mu", "lengths", "cells"),
+     "Domain(case=1, mu=(1,), lengths=(1, 2), cells=frozenset({(1, 0), (0, 0)}))"),
+    (domains.Domino(0, 1, "H"), ("d", "p", "orient"),
+     "Domino(d=0, p=1, orient='H')"),
+    (domains.enumerate_tilings(domains.build_domain((1,), 1))[0], ("domain", "dominoes"),
+     "Tiling(domain=Domain(case=1, mu=(1,), lengths=(1, 2), cells=frozenset({(1, 0), "
+     "(0, 0)})), dominoes=(Domino(d=0, p=0, orient='V'),))"),
+    (sequences.enumerate_sequences((1,), 1)[0], ("case", "mu", "chain"),
+     "PartitionSequence(case=1, mu=(1,), chain=((), (1,)))"),
+    (enumerate_tableaux((1,), 1)[0], ("case", "shape", "rows"),
+     "SuperSymplecticTableau(case=1, shape=(1,), "
+     "rows=((Entry(value=1, barred=False),),))"),
+    (paths.LatticePath((-1, 1), "E"), ("start", "steps"),
+     "LatticePath(start=(-1, 1), steps='E')"),
+    (paths.enumerate_path_families((1,), 1)[0], ("case", "mu", "paths"),
+     "PathFamily(case=1, mu=(1,), paths=(LatticePath(start=(-1, 1), steps='E'),))"),
+]
+
+
+@pytest.mark.parametrize("value, fields, text", VALUES,
+                         ids=[type(v).__name__ for v, _, _ in VALUES])
+def test_model_values_are_immutable_and_hash_by_their_fields(value, fields, text):
+    assert repr(value) == text
+    state = tuple(getattr(value, name) for name in fields)
+    assert hash(value) == hash(state)
+    assert value == type(value)(*state)
+    with pytest.raises(AttributeError):
+        setattr(value, fields[0], state[0])
+
+
+def test_dominoes_sort_by_start_then_h_before_v():
+    Domino = domains.Domino
+    shuffled = [Domino(1, 0, "H"), Domino(0, 1, "V"), Domino(0, 1, "H"), Domino(0, 0, "V")]
+    assert sorted(shuffled) == [Domino(0, 0, "V"), Domino(0, 1, "H"), Domino(0, 1, "V"),
+                                Domino(1, 0, "H")]
