@@ -84,18 +84,18 @@ def _items(model: str, mu: Partition, case: int):
     if model == "sequence":
         from .sequences import enumerate_sequences
 
-        return enumerate_sequences(mu, case, lazy=True)
+        return enumerate_sequences(mu, case)
     if model == "tableau":
         from .tableaux import enumerate_tableaux
 
-        return enumerate_tableaux(mu, case, lazy=True)
+        return enumerate_tableaux(mu, case)
     if model == "paths":
         from .paths import enumerate_path_families
 
-        return enumerate_path_families(mu, case, lazy=True)
+        return enumerate_path_families(mu, case)
     from .domains import build_domain, enumerate_tilings
 
-    return enumerate_tilings(build_domain(mu, case), lazy=True)
+    return enumerate_tilings(build_domain(mu, case))
 
 
 def _cmd_enumerate(args) -> int:

@@ -115,13 +115,11 @@ def validate_tiling(tiling: Tiling) -> bool:
     )
 
 
-def enumerate_tilings(
-    domain: Domain, cap: int | None = None, lazy: bool = False
-) -> list[Tiling] | Found:
+def enumerate_tilings(domain: Domain, cap: int | None = None) -> Found:
     """Every tiling of the domain, sorted by its dominoes: backtracking exact
     cover over the first uncovered cell in (d, p) order; that cell is always
-    the start of some domino.  With ``lazy``, the search's ``Found``: its
-    ``len`` is the count, and it builds a tiling only when one is read.
+    the start of some domino.  The search's ``Found``: its ``len`` is the
+    count, and it builds a tiling only when one is read.
 
     The walk runs on ``memo_search``, whose state, the bitmask of covered
     cells, fixes the rest of the walk.  It expands each state once and
@@ -129,8 +127,8 @@ def enumerate_tilings(
 
     Each cell's dominoes are built once, H before V.  Dominoes are placed in
     start-cell order and ``Domino`` orders "H" < "V", so every tiling comes
-    out with sorted dominoes and the list comes out sorted by ``t.dominoes``
-    without a sort."""
+    out with sorted dominoes and the tilings come out sorted by
+    ``t.dominoes`` without a sort."""
     cells = domain.sorted_cells()
     index = {cell: i for i, cell in enumerate(cells)}
     # each step covers cell i and its partner: a one-domino payload and two bits
@@ -151,9 +149,8 @@ def enumerate_tilings(
             (tile, covered | bits) for tile, bits in options[i] if not covered & bits
         ]
 
-    found = memo_search(0, successors, add, (), SearchBudget("tiling", cap),
-                        partial(Tiling, domain))
-    return found if lazy else list(found)
+    return memo_search(0, successors, add, (), SearchBudget("tiling", cap),
+                       partial(Tiling, domain))
 
 
 def _mark_cells(tiling: Tiling) -> dict:

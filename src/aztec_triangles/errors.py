@@ -1,6 +1,7 @@
 """Shared exceptions, and the search budget and engine of the brute-force searches."""
 
 import os
+from operator import index
 
 DEFAULT_CAP = 10**7
 CAP_ENV_VAR = "AZTEC_CAP"
@@ -43,11 +44,13 @@ class SearchBudget:
 
 
 class Found:
-    """The items of one ``memo_search``, kept as its live steps.
+    """The items of one ``memo_search``, kept as its live steps; it reads
+    like the list of them, without slices.
 
     ``len`` is the goal count.  Iterating builds each item, ``wrap`` of the
-    fold of a goal's payloads, in walk order; ``found[i]`` builds item i
-    alone, choosing each step on the way by the goal counts below it."""
+    fold of a goal's payloads, in walk order; ``found[i]``, for an integer
+    i counted from the end when negative, builds item i alone, choosing
+    each step on the way by the goal counts below it."""
 
     __slots__ = ("start", "fold", "goals", "live", "wrap")
 
@@ -76,8 +79,10 @@ class Found:
                 stack.pop()
 
     def __getitem__(self, i):
-        if not 0 <= i < self.goals:
+        i = index(i)
+        if not -self.goals <= i < self.goals:
             raise IndexError(f"goal index {i} out of range")
+        i %= self.goals
         acc, steps = self.start, self.live
         while steps is not None:
             for payload, goals, below in steps:

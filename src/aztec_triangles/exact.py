@@ -45,6 +45,8 @@ def binomial(x: Exact, l: int) -> Exact:
         return 0
     if isinstance(x, int):
         return comb(x, l) if x >= 0 else (-1) ** l * comb(l - x - 1, l)
+    if not isinstance(x, Fraction):
+        as_fraction(x)  # raises: a float is not exact
     num = Fraction(1)
     for m in range(l):
         num *= x - m
@@ -58,6 +60,8 @@ def pochhammer(x: Exact, i: int) -> Exact:
     """
     if i < 0:
         raise ValueError(f"pochhammer index must be non-negative, got {i}")
+    if not isinstance(x, (int, Fraction)):
+        as_fraction(x)  # raises: a float is not exact
     return normalize(prod(x + a for a in range(i)))
 
 

@@ -158,8 +158,6 @@ def _single_paths(start, end, ban_final_east, budget):
     still to go: each is expanded once, and the budget is charged one node
     per prefix of the plain walk, repeated subtrees included."""
     dx0, dy0 = end[0] - start[0], end[1] - start[1]
-    if dx0 < 0 or dy0 < 0:
-        return []
 
     def successors(state):
         dx, dy = state
@@ -174,16 +172,16 @@ def _single_paths(start, end, ban_final_east, budget):
             steps.append(("N", (dx, dy - 1)))
         return steps
 
-    return list(memo_search((dx0, dy0), successors, add, "", budget, str))
+    return memo_search((dx0, dy0), successors, add, "", budget, str)
 
 
-def enumerate_path_families(
-    mu: Partition, case: int, cap: int | None = None, lazy: bool = False
-) -> list[PathFamily] | Found:
+def enumerate_path_families(mu: Partition, case: int, cap: int | None = None) -> Found:
     """Brute-force the vertex-disjoint families with the prescribed endpoints,
     in lexicographic order of their step words: ``memo_search`` over states
-    (j, points of path j-1), charged like ``_single_paths``.  With ``lazy``,
-    the search's ``Found``, which builds a family only when one is read."""
+    (j, points of path j-1), charged like ``_single_paths``.  The search's
+    ``Found``, which builds a family only when one is read."""
+    if case not in (1, 2):
+        raise ValueError(f"case must be 1 or 2, got {case}")
     mu = check_partition(tuple(mu))
     n = len(mu)
     budget = SearchBudget("path", cap)
@@ -205,6 +203,5 @@ def enumerate_path_families(
         return [(payload, (j + 1, pts)) for payload, pts in candidates[j - 1]
                 if before.isdisjoint(pts)]
 
-    found = memo_search((1, frozenset()), successors, add, (), budget,
-                        partial(PathFamily, case, mu))
-    return found if lazy else list(found)
+    return memo_search((1, frozenset()), successors, add, (), budget,
+                       partial(PathFamily, case, mu))

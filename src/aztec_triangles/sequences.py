@@ -146,24 +146,18 @@ def chain_search(mu, case, cap, value_caps, step, fold, start, wrap) -> Found:
 
 
 def enumerate_sequences(
-    mu: Partition,
-    case: int,
-    cap: int | None = None,
-    value_caps=None,
-    lazy: bool = False,
-) -> list[PartitionSequence] | Found:
-    """Exhaustively list the chains ending at mu, in lexicographic order.
+    mu: Partition, case: int, cap: int | None = None, value_caps=None
+) -> Found:
+    """The chains ending at mu, in lexicographic order: the search's
+    ``Found``, which builds a sequence only when one is read.
 
     ``value_caps`` optionally bounds the part values per chain index (used
     by the restricted variant below).  In the chain search, the payload of
-    a step to nu is ``(nu,)`` and the state is the chain so far.  With
-    ``lazy``, the search's ``Found``, which builds a sequence only when one
-    is read.
+    a step to nu is ``(nu,)`` and the state is the chain so far.
     """
     mu = tuple(mu)
-    chains = chain_search(mu, case, cap, value_caps, lambda i, lam, nu: (nu,), add,
-                          ((),), partial(PartitionSequence, case, mu))
-    return chains if lazy else list(chains)
+    return chain_search(mu, case, cap, value_caps, lambda i, lam, nu: (nu,), add,
+                        ((),), partial(PartitionSequence, case, mu))
 
 
 def count_sequences(mu: Partition, case: int) -> int:

@@ -128,17 +128,14 @@ def tableau_to_sequence(t: SuperSymplecticTableau) -> PartitionSequence:
     return PartitionSequence(t.case, t.shape, tuple(chain))
 
 
-def enumerate_tableaux(
-    mu: Partition, case: int, cap: int | None = None, lazy: bool = False
-) -> list[SuperSymplecticTableau] | Found:
-    """All type-1/type-2 tableaux of shape mu, in chain order.
+def enumerate_tableaux(mu: Partition, case: int, cap: int | None = None) -> Found:
+    """All type-1/type-2 tableaux of shape mu, in chain order: the search's
+    ``Found``, which builds a tableau only when one is read.
 
     The chain search builds them itself, so no chain is kept or validated
     again: the payload of a step is the cells it adds, ``_cells``, and the
-    state is the tuple of rows.  With ``lazy``, the search's ``Found``,
-    which builds a tableau only when one is read.
+    state is the tuple of rows.
     """
     mu = tuple(mu)
-    fillings = chain_search(mu, case, cap, None, partial(_cells, len(mu)), _grow,
-                            ((),) * len(mu), partial(SuperSymplecticTableau, case, mu))
-    return fillings if lazy else list(fillings)
+    return chain_search(mu, case, cap, None, partial(_cells, len(mu)), _grow,
+                        ((),) * len(mu), partial(SuperSymplecticTableau, case, mu))

@@ -157,8 +157,8 @@ def test_enumerate_limit_prints_a_prefix_under_the_full_count(capsys, model):
         assert items == stream[:emitted], limit
 
 
-def list_enumerator(model):
-    """The model's list enumerator, called as f(mu, case)."""
+def model_enumerator(model):
+    """The model's enumerator, called as f(mu, case)."""
     from aztec_triangles import domains, paths, sequences, tableaux
 
     return {
@@ -175,7 +175,7 @@ def test_enumerate_lines_are_each_items_json(capsys, model, case):
     # the stream encodes shared parts once; each line must still be exactly
     # json.dumps of that item's to_json
     for mu in sorted({*small_partitions(3, 3), (), (0, 0)}):
-        expected = [json.dumps(x.to_json()) for x in list_enumerator(model)(mu, case)]
+        expected = [json.dumps(x.to_json()) for x in model_enumerator(model)(mu, case)]
         argv = ("enumerate", "--mu", ",".join(map(str, mu)), "--case", str(case),
                 "--model", model)
         for limit in (None, 0, 1):

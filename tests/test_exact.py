@@ -105,6 +105,9 @@ def test_floats_are_rejected():
     for j in (0.5, 2.0):
         with pytest.raises(TypeError):
             delannoy_D(2, j)
+    for fn in (binomial, pochhammer):
+        with pytest.raises(TypeError, match="^exact rational required, got float$"):
+            fn(1.5, 2)
     for rows in ([[0.5]], [[1, 2.0], [3, 4]], [[Fraction(1, 2), 1], [0.25, 1]]):
         with pytest.raises(TypeError):
             Matrix(rows).determinant()

@@ -195,11 +195,9 @@ def test_search_depth_needs_no_python_stack(search):
         sys.setrecursionlimit(limit)
 
 
-# each model's enumerator, given (mu, case) and keywords
+# each model's enumerator, given (mu, case)
 ENUMERATORS = {
-    "tilings": lambda mu, case, **kw: domains.enumerate_tilings(
-        domains.build_domain(mu, case), **kw
-    ),
+    "tilings": lambda mu, case: domains.enumerate_tilings(domains.build_domain(mu, case)),
     "sequences": sequences.enumerate_sequences,
     "tableaux": enumerate_tableaux,
     "paths": paths.enumerate_path_families,
@@ -209,22 +207,32 @@ ENUMERATORS = {
 @pytest.mark.parametrize("case", [1, 2])
 @pytest.mark.parametrize("model", sorted(ENUMERATORS))
 def test_lazy_found_counts_streams_and_indexes_the_list(budgets, model, case):
+    # the search's Found reads like the list of its items, and reading it,
+    # by iterating or by an index from either end, charges no node
     enumerate_model = ENUMERATORS[model]
     for mu in small_partitions(3, 3):
         budgets.clear()
-        listed = enumerate_model(mu, case)
+        found = enumerate_model(mu, case)
         charged = [b.used for b in budgets]
-        budgets.clear()
-        found = enumerate_model(mu, case, lazy=True)
-        assert len(found) == len(listed), mu
-        assert [b.used for b in budgets] == charged, mu
-        assert list(found) == listed, mu
+        listed = list(found)
+        assert len(found) == len(listed) > 0, mu
         assert [found[i] for i in range(len(found))] == listed, mu
-        for i in (len(listed), -1):
+        assert found[-1] == listed[-1] and found[-len(found)] == listed[0], mu
+        assert all(x in found for x in listed[:3]), mu
+        for i in (len(found), -len(found) - 1):
             with pytest.raises(IndexError):
                 found[i]
-        # every node is charged while counting: folding charges none
+        for i in (1.5, slice(0, 1)):
+            with pytest.raises(TypeError):
+                found[i]
         assert [b.used for b in budgets] == charged, mu
+
+
+@pytest.mark.parametrize("case", [0, 3])
+@pytest.mark.parametrize("model", sorted(ENUMERATORS))
+def test_enumerators_reject_a_bad_case(model, case):
+    with pytest.raises(ValueError, match=f"^case must be 1 or 2, got {case}$"):
+        ENUMERATORS[model]((2, 1), case)
 
 
 # One valid object of each model class, its fields in order, and its repr.

@@ -61,7 +61,7 @@ def test_enumeration_counts():
     assert len(enumerate_sequences((1,), 1)) == 1
     assert len(enumerate_sequences((2, 1), 1)) == 4
     assert len(enumerate_sequences((1, 0), 2)) == 4
-    assert enumerate_sequences((), 1) == [PartitionSequence(1, (), ())]
+    assert list(enumerate_sequences((), 1)) == [PartitionSequence(1, (), ())]
 
 
 def test_enumeration_is_sorted_and_valid():
@@ -103,7 +103,7 @@ def test_case1_case2_equinumerosity():
 
 def test_restricted_enumeration():
     assert len(enumerate_restricted(2, 1)) == 4
-    assert enumerate_restricted(2, 1) == enumerate_sequences((2, 1), 1)
+    assert list(enumerate_restricted(2, 1)) == list(enumerate_sequences((2, 1), 1))
     r22 = enumerate_restricted(2, 2)
     assert len(r22) == 3  # restriction only removes chains
     assert all(validate_sequence(s) for s in r22)

@@ -100,7 +100,7 @@ def test_enumerate_examples():
 def test_enumerate_matches_bijection():
     for mu in small_partitions(3, 3):
         for case in (1, 2):
-            assert enumerate_tableaux(mu, case) == [
+            assert list(enumerate_tableaux(mu, case)) == [
                 sequence_to_tableau(s) for s in enumerate_sequences(mu, case)
             ], (mu, case)
 
