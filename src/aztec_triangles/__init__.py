@@ -55,8 +55,8 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "PartitionSequence", "count_sequences", "enumerate_restricted",
-            "enumerate_sequences", "validate_sequence",
+            "PartitionSequence", "count_sequences", "enumerate_sequences",
+            "validate_sequence",
         ),
         "sequences",
     ),

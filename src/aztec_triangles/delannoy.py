@@ -17,7 +17,7 @@ single ``Fraction`` at the end.  Every count the CLI prints takes the
 ``lgv_matrix`` and ``d_submatrix`` assemble the LGV and staircase
 matrices, and ``lgv_determinant`` counts by the LGV matrix.  They live
 here, not in ``paths``, so that a determinant count loads none of the path,
-tableau and chain models; ``paths`` still binds both names.  The LGV
+tableau and chain models; ``paths`` still binds ``lgv_matrix``.  The LGV
 matrix reads its entries one by one from ``delannoy_D`` and
 ``delannoy_H``.  Both staircase matrices, D1(k; n) at any rational n
 and D2(k; n) at an integer n, read theirs off one ``int`` table of

@@ -115,7 +115,7 @@ def validate_tiling(tiling: Tiling) -> bool:
     )
 
 
-def enumerate_tilings(domain: Domain, cap: int | None = None) -> Found:
+def enumerate_tilings(domain: Domain) -> Found:
     """Every tiling of the domain, sorted by its dominoes: backtracking exact
     cover over the first uncovered cell in (d, p) order; that cell is always
     the start of some domino.  The search's ``Found``: its ``len`` is the
@@ -149,7 +149,7 @@ def enumerate_tilings(domain: Domain, cap: int | None = None) -> Found:
             (tile, covered | bits) for tile, bits in options[i] if not covered & bits
         ]
 
-    return memo_search(0, successors, add, (), SearchBudget("tiling", cap),
+    return memo_search(0, successors, add, (), SearchBudget("tiling"),
                        partial(Tiling, domain))
 
 

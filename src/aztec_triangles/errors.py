@@ -30,11 +30,12 @@ def default_cap() -> int:
 
 class SearchBudget:
     """Counts the nodes of one named search ("tiling", "chain" or "path")
-    and aborts once the cap is reached."""
+    and aborts once the cap is reached.  The cap is ``default_cap()`` at the
+    budget's creation."""
 
-    def __init__(self, name: str, cap: int | None = None):
+    def __init__(self, name: str):
         self.name = name
-        self.cap = default_cap() if cap is None else cap
+        self.cap = default_cap()
         self.used = 0
 
     def spend(self, nodes: int = 1) -> None:

@@ -12,7 +12,7 @@ E (east).
 
 The determinant side, ``lgv_matrix`` and ``d_submatrix``, is built in
 ``delannoy`` beside the entries, so that counting by determinant never
-imports this module or the tableaux it draws on; the two names are bound
+imports this module or the tableaux it draws on; ``lgv_matrix`` is bound
 here as well.
 """
 
@@ -20,7 +20,7 @@ from functools import partial
 from operator import add
 from typing import NamedTuple
 
-from .delannoy import d_submatrix, lgv_matrix  # noqa: F401
+from .delannoy import lgv_matrix  # noqa: F401
 from .errors import Found, SearchBudget, memo_search
 from .partitions import Partition, check_partition, pad
 from .tableaux import Entry, SuperSymplecticTableau, validate_tableau
@@ -175,7 +175,7 @@ def _single_paths(start, end, ban_final_east, budget):
     return memo_search((dx0, dy0), successors, add, "", budget, str)
 
 
-def enumerate_path_families(mu: Partition, case: int, cap: int | None = None) -> Found:
+def enumerate_path_families(mu: Partition, case: int) -> Found:
     """Brute-force the vertex-disjoint families with the prescribed endpoints,
     in lexicographic order of their step words: ``memo_search`` over states
     (j, points of path j-1), charged like ``_single_paths``.  The search's
@@ -184,7 +184,7 @@ def enumerate_path_families(mu: Partition, case: int, cap: int | None = None) ->
         raise ValueError(f"case must be 1 or 2, got {case}")
     mu = check_partition(tuple(mu))
     n = len(mu)
-    budget = SearchBudget("path", cap)
+    budget = SearchBudget("path")
     mu_full = pad(mu, n)
     # each candidate path and its points, built once for the whole search
     candidates = []

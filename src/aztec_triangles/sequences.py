@@ -93,24 +93,22 @@ def validate_sequence(seq: PartitionSequence) -> bool:
     return True
 
 
-def _strip_extensions(lam, bound, max_parts, value_cap, vertical):
+def _strip_extensions(lam, bound, max_parts, vertical):
     """All nu >= lam with nu/lam a horizontal strip (nu_r <= lam_(r-1)), or a
     vertical one (nu_r <= lam_r + 1) if ``vertical``, nu a partition inside
-    bound with at most max_parts nonzero parts and parts <= value_cap, in
-    ascending order, built row by row with each part capped by the last."""
+    bound with at most max_parts nonzero parts, in ascending order, built
+    row by row with each part capped by the last."""
     found = [()]
     for r in range(min(max_parts, len(bound))):
         lo = part(lam, r)
         top = lo + 1 if vertical else part(lam, r - 1) if r else bound[r]
         hi = min(bound[r], top)
-        if value_cap is not None:
-            hi = min(hi, value_cap)
         found = [nu + (v,) for nu in found
                  for v in range(lo, (min(hi, nu[-1]) if r else hi) + 1)]
     return [normalize(nu) for nu in found]
 
 
-def chain_search(mu, case, cap, value_caps, step, fold, start, wrap) -> Found:
+def chain_search(mu, case, step, fold, start, wrap) -> Found:
     """The one chain search: a depth-first walk over the chains ending at
     mu, in lexicographic order, charging one budget node per chain prefix.
 
@@ -120,7 +118,6 @@ def chain_search(mu, case, cap, value_caps, step, fold, start, wrap) -> Found:
     its subtree's nodes in the plain walk.  Each chain's payloads are
     folded, ``fold(state, payload)`` from ``start``, and the returned
     ``Found`` builds ``wrap`` of each fold in the plain walk's order.
-    ``value_caps`` optionally bounds the part values per chain index.
     ``mu`` is a tuple.
     """
     if not is_partition(mu):
@@ -128,7 +125,7 @@ def chain_search(mu, case, cap, value_caps, step, fold, start, wrap) -> Found:
     ell = chain_length(mu, case)
     target = normalize(mu)
     bound = pad(target, len(mu))
-    budget = SearchBudget("chain", cap)
+    budget = SearchBudget("chain")
     if ell == 0:  # mu = () in case 1: the empty chain, and no rows
         return Found((), fold, 1, None, wrap)
 
@@ -136,8 +133,7 @@ def chain_search(mu, case, cap, value_caps, step, fold, start, wrap) -> Found:
         i, lam = state
         if i == ell:
             return None
-        value_cap = value_caps[i] if value_caps is not None else None
-        options = _strip_extensions(lam, bound, (i + 1) // 2, value_cap, i % 2 == 0)
+        options = _strip_extensions(lam, bound, (i + 1) // 2, i % 2 == 0)
         if i == ell - 1:
             options = [nu for nu in options if nu == target]
         return [(step(i, lam, nu), (i + 1, nu)) for nu in options]
@@ -145,19 +141,16 @@ def chain_search(mu, case, cap, value_caps, step, fold, start, wrap) -> Found:
     return memo_search((1, ()), successors, fold, start, budget, wrap)
 
 
-def enumerate_sequences(
-    mu: Partition, case: int, cap: int | None = None, value_caps=None
-) -> Found:
+def enumerate_sequences(mu: Partition, case: int) -> Found:
     """The chains ending at mu, in lexicographic order: the search's
     ``Found``, which builds a sequence only when one is read.
 
-    ``value_caps`` optionally bounds the part values per chain index (used
-    by the restricted variant below).  In the chain search, the payload of
-    a step to nu is ``(nu,)`` and the state is the chain so far.
+    In the chain search, the payload of a step to nu is ``(nu,)`` and the
+    state is the chain so far.
     """
     mu = tuple(mu)
-    return chain_search(mu, case, cap, value_caps, lambda i, lam, nu: (nu,), add,
-                        ((),), partial(PartitionSequence, case, mu))
+    return chain_search(mu, case, lambda i, lam, nu: (nu,), add, ((),),
+                        partial(PartitionSequence, case, mu))
 
 
 def count_sequences(mu: Partition, case: int) -> int:
@@ -167,13 +160,3 @@ def count_sequences(mu: Partition, case: int) -> int:
     from .delannoy import lgv_determinant
 
     return lgv_determinant(mu, case)
-
-
-def enumerate_restricted(n: int, k: int, cap: int | None = None):
-    """Case 1 chains for mu = (n,...,1) whose i-th entry has parts at most
-    n - (k-1) + floor(i/2); k = 1 reproduces the unrestricted enumeration."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    mu = tuple(range(n, 0, -1))
-    caps = [n - (k - 1) + i // 2 for i in range(2 * n)]
-    return enumerate_sequences(mu, 1, cap=cap, value_caps=caps)

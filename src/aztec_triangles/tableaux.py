@@ -128,7 +128,7 @@ def tableau_to_sequence(t: SuperSymplecticTableau) -> PartitionSequence:
     return PartitionSequence(t.case, t.shape, tuple(chain))
 
 
-def enumerate_tableaux(mu: Partition, case: int, cap: int | None = None) -> Found:
+def enumerate_tableaux(mu: Partition, case: int) -> Found:
     """All type-1/type-2 tableaux of shape mu, in chain order: the search's
     ``Found``, which builds a tableau only when one is read.
 
@@ -137,5 +137,5 @@ def enumerate_tableaux(mu: Partition, case: int, cap: int | None = None) -> Foun
     state is the tuple of rows.
     """
     mu = tuple(mu)
-    return chain_search(mu, case, cap, None, partial(_cells, len(mu)), _grow,
-                        ((),) * len(mu), partial(SuperSymplecticTableau, case, mu))
+    return chain_search(mu, case, partial(_cells, len(mu)), _grow, ((),) * len(mu),
+                        partial(SuperSymplecticTableau, case, mu))

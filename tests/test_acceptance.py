@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from conftest import small_partitions
 
+from aztec_triangles.delannoy import d_submatrix
 from aztec_triangles.domains import build_domain, enumerate_tilings
 from aztec_triangles.exact import Matrix
 from aztec_triangles.formulas import (
@@ -14,7 +15,7 @@ from aztec_triangles.formulas import (
     product_case2,
     product_main,
 )
-from aztec_triangles.paths import d_submatrix, enumerate_path_families, lgv_matrix
+from aztec_triangles.paths import enumerate_path_families, lgv_matrix
 from aztec_triangles.sequences import count_sequences, enumerate_sequences
 from aztec_triangles.tableaux import enumerate_tableaux
 from aztec_triangles.verify import (

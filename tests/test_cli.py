@@ -477,12 +477,29 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("cap", ["abc", "0", "-3"])
-def test_bad_cap_exit_2(capsys, monkeypatch, cap):
+SMALL_CASE_1 = ("--mu", "2,1", "--case", "1")
+
+# every call that runs a search, each of which reads the cap from AZTEC_CAP
+SEARCH_CALLS = {
+    "count": ("count", *SMALL_CASE_1, "--method", "brute"),
+    **{f"enumerate-{model}": ("enumerate", *SMALL_CASE_1, "--model", model)
+       for model in cli._MODELS},
+    "crosscheck": ("crosscheck", *SMALL_CASE_1),
+    "render-index": ("render", *SMALL_CASE_1, "--tiling-index", "0", "--format", "ascii"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        pytest.param(argv, cap, id=cap if call == "count" else f"{call}-{cap}")
+        for call, argv in SEARCH_CALLS.items()
+        for cap in ("abc", "0", "-3")
+    ],
+)
+def test_bad_cap_exit_2(capsys, monkeypatch, argv, cap):
     monkeypatch.setenv("AZTEC_CAP", cap)
-    code, out, err = run_cli(
-        capsys, "count", "--mu", "2,1", "--case", "1", "--method", "brute"
-    )
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: AZTEC_CAP must be a positive integer, got {cap!r}\n"
 
@@ -702,7 +719,7 @@ def test_verify_loads_no_dataclasses(argv, module):
 
 def test_package_root_is_lazy_and_complete():
     assert loaded_modules("import sys, aztec_triangles") == set()
-    assert len(aztec_triangles.__all__) == 59
+    assert len(aztec_triangles.__all__) == 58
     namespace = {}
     exec("from aztec_triangles import *", namespace)
     for name in aztec_triangles.__all__:

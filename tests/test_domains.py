@@ -142,25 +142,30 @@ def test_counts_match_determinants():
             assert len(tilings) == count_sequences(mu, case), (mu, case)
 
 
-def test_cap_exceeded():
+def test_cap_exceeded(monkeypatch):
+    monkeypatch.setenv("AZTEC_CAP", "10")
     with pytest.raises(CapExceeded):
-        enumerate_tilings(build_domain((4, 3, 2, 1), 1), cap=10)
+        enumerate_tilings(build_domain((4, 3, 2, 1), 1))
 
 
-def test_cap_threshold_is_exact():
+def test_cap_threshold_is_exact(monkeypatch):
     # the search spends exactly 43,932 nodes on (4,3,2,1), case 1
     dom = build_domain((4, 3, 2, 1), 1)
-    assert len(enumerate_tilings(dom, cap=43932)) == 3328
+    monkeypatch.setenv("AZTEC_CAP", "43932")
+    assert len(enumerate_tilings(dom)) == 3328
+    monkeypatch.setenv("AZTEC_CAP", "43931")
     with pytest.raises(CapExceeded):
-        enumerate_tilings(dom, cap=43931)
+        enumerate_tilings(dom)
 
 
-def test_case2_cap_threshold_is_exact():
+def test_case2_cap_threshold_is_exact(monkeypatch):
     # 425,888 nodes on (4,3,2,1), case 2, most of them in repeated subtrees
     dom = build_domain((4, 3, 2, 1), 2)
-    assert len(enumerate_tilings(dom, cap=425888)) == 32032
+    monkeypatch.setenv("AZTEC_CAP", "425888")
+    assert len(enumerate_tilings(dom)) == 32032
+    monkeypatch.setenv("AZTEC_CAP", "425887")
     with pytest.raises(CapExceeded):
-        enumerate_tilings(dom, cap=425887)
+        enumerate_tilings(dom)
 
 
 def test_tilings_in_canonical_order():

@@ -4,13 +4,17 @@ import pytest
 
 from conftest import small_partitions
 
-from aztec_triangles.delannoy import delannoy_D, delannoy_H, lgv_determinant
+from aztec_triangles.delannoy import (
+    d_submatrix,
+    delannoy_D,
+    delannoy_H,
+    lgv_determinant,
+)
 from aztec_triangles.errors import CapExceeded
 from aztec_triangles.exact import Matrix
 from aztec_triangles.paths import (
     LatticePath,
     PathFamily,
-    d_submatrix,
     enumerate_path_families,
     is_vertex_disjoint,
     lgv_matrix,
@@ -58,18 +62,22 @@ def test_enumerate_family_counts():
     assert len(fams) == lgv_matrix((2, 1), 2).determinant()
 
 
-def test_enumerate_cap_threshold_is_exact():
+def test_enumerate_cap_threshold_is_exact(monkeypatch):
     # single paths plus assembly spend exactly 10,120 nodes on (4,3,2,1), case 1
-    assert len(enumerate_path_families((4, 3, 2, 1), 1, cap=10120)) == 3328
+    monkeypatch.setenv("AZTEC_CAP", "10120")
+    assert len(enumerate_path_families((4, 3, 2, 1), 1)) == 3328
+    monkeypatch.setenv("AZTEC_CAP", "10119")
     with pytest.raises(CapExceeded):
-        enumerate_path_families((4, 3, 2, 1), 1, cap=10119)
+        enumerate_path_families((4, 3, 2, 1), 1)
 
 
-def test_enumerate_case2_cap_threshold_is_exact():
+def test_enumerate_case2_cap_threshold_is_exact(monkeypatch):
     # single paths plus assembly spend exactly 56,287 nodes on (4,3,2,1), case 2
-    assert len(enumerate_path_families((4, 3, 2, 1), 2, cap=56287)) == 32032
+    monkeypatch.setenv("AZTEC_CAP", "56287")
+    assert len(enumerate_path_families((4, 3, 2, 1), 2)) == 32032
+    monkeypatch.setenv("AZTEC_CAP", "56286")
     with pytest.raises(CapExceeded):
-        enumerate_path_families((4, 3, 2, 1), 2, cap=56286)
+        enumerate_path_families((4, 3, 2, 1), 2)
 
 
 def test_case2_paths_never_end_east():

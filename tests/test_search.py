@@ -23,8 +23,9 @@ from aztec_triangles.partitions import (
 from aztec_triangles.tableaux import enumerate_tableaux
 
 
-def test_spend_adds_one():
-    budget = SearchBudget("chain", cap=2)
+def test_spend_adds_one(monkeypatch):
+    monkeypatch.setenv("AZTEC_CAP", "2")
+    budget = SearchBudget("chain")
     budget.spend()
     budget.spend()
     assert budget.used == 2
@@ -33,8 +34,9 @@ def test_spend_adds_one():
     assert str(info.value) == "chain search exceeded cap of 2 nodes"
 
 
-def test_spend_in_bulk_raises_on_the_call_past_the_cap():
-    budget = SearchBudget("tiling", cap=10)
+def test_spend_in_bulk_raises_on_the_call_past_the_cap(monkeypatch):
+    monkeypatch.setenv("AZTEC_CAP", "10")
+    budget = SearchBudget("tiling")
     budget.spend(4)
     budget.spend(6)
     assert budget.used == 10
@@ -142,8 +144,8 @@ def budgets(monkeypatch):
     made = []
 
     class Recorded(SearchBudget):
-        def __init__(self, name, cap=None):
-            super().__init__(name, cap)
+        def __init__(self, name):
+            super().__init__(name)
             made.append(self)
 
     for module in (domains, paths, sequences):

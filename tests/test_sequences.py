@@ -22,7 +22,6 @@ from aztec_triangles.sequences import (
     _strip_extensions,
     chain_length,
     count_sequences,
-    enumerate_restricted,
     enumerate_sequences,
     validate_sequence,
 )
@@ -101,43 +100,28 @@ def test_case1_case2_equinumerosity():
         )
 
 
-def test_restricted_enumeration():
-    assert len(enumerate_restricted(2, 1)) == 4
-    assert list(enumerate_restricted(2, 1)) == list(enumerate_sequences((2, 1), 1))
-    r22 = enumerate_restricted(2, 2)
-    assert len(r22) == 3  # restriction only removes chains
-    assert all(validate_sequence(s) for s in r22)
-    # frozen regression value from the exhaustive search
-    assert len(enumerate_restricted(3, 2)) == 56
-    with pytest.raises(ValueError):
-        enumerate_restricted(2, 3)
-
-
-def test_restricted_bound_holds():
-    for n, k in [(2, 2), (3, 2), (3, 3)]:
-        for seq in enumerate_restricted(n, k):
-            for i, lam in enumerate(seq.chain):
-                bound = n - (k - 1) + i // 2
-                assert all(part <= bound for part in lam)
-
-
-def test_cap_exceeded():
+def test_cap_exceeded(monkeypatch):
+    monkeypatch.setenv("AZTEC_CAP", "5")
     with pytest.raises(CapExceeded):
-        enumerate_sequences((3, 2, 1), 1, cap=5)
+        enumerate_sequences((3, 2, 1), 1)
 
 
-def test_cap_threshold_is_exact():
+def test_cap_threshold_is_exact(monkeypatch):
     # the search spends exactly 11,065 nodes on (4,3,2,1), case 1
-    assert len(enumerate_sequences((4, 3, 2, 1), 1, cap=11065)) == 3328
+    monkeypatch.setenv("AZTEC_CAP", "11065")
+    assert len(enumerate_sequences((4, 3, 2, 1), 1)) == 3328
+    monkeypatch.setenv("AZTEC_CAP", "11064")
     with pytest.raises(CapExceeded):
-        enumerate_sequences((4, 3, 2, 1), 1, cap=11064)
+        enumerate_sequences((4, 3, 2, 1), 1)
 
 
-def test_case2_cap_threshold_is_exact():
+def test_case2_cap_threshold_is_exact(monkeypatch):
     # 81,116 nodes on (4,3,2,1), case 2
-    assert len(enumerate_sequences((4, 3, 2, 1), 2, cap=81116)) == 32032
+    monkeypatch.setenv("AZTEC_CAP", "81116")
+    assert len(enumerate_sequences((4, 3, 2, 1), 2)) == 32032
+    monkeypatch.setenv("AZTEC_CAP", "81115")
     with pytest.raises(CapExceeded):
-        enumerate_sequences((4, 3, 2, 1), 2, cap=81115)
+        enumerate_sequences((4, 3, 2, 1), 2)
 
 
 def _reference_validate(seq):
@@ -240,7 +224,7 @@ def test_search_leaves_no_garbage_cycles(enumerate_model):
         gc.enable()
 
 
-def strip_extensions_by_filter(lam, bound, max_parts, value_cap, vertical):
+def strip_extensions_by_filter(lam, bound, max_parts, vertical):
     """The reference: every tuple in the per-row ranges, kept when it is a
     partition."""
     ranges = []
@@ -248,8 +232,6 @@ def strip_extensions_by_filter(lam, bound, max_parts, value_cap, vertical):
         lo = part(lam, r)
         top = lo + 1 if vertical else part(lam, r - 1) if r else bound[r]
         hi = min(bound[r], top)
-        if value_cap is not None:
-            hi = min(hi, value_cap)
         ranges.append(range(lo, hi + 1))
     return [normalize(nu) for nu in product(*ranges) if is_partition(nu)]
 
@@ -259,10 +241,10 @@ def test_strip_extensions_match_product_and_filter():
     for bound in small_partitions(4, 4):
         inside = {normalize(lam) for lam in small_partitions(4, len(bound))
                   if all(a <= b for a, b in zip(lam, bound))}
-        for lam, max_parts, value_cap, vertical in product(
-            sorted(inside), range(len(bound) + 1), (None, 0, 1, 2, 3, 4), (False, True)
+        for lam, max_parts, vertical in product(
+            sorted(inside), range(len(bound) + 1), (False, True)
         ):
-            args = (lam, bound, max_parts, value_cap, vertical)
+            args = (lam, bound, max_parts, vertical)
             assert _strip_extensions(*args) == strip_extensions_by_filter(*args), args
             checked += 1
     assert checked > 10_000

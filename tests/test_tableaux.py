@@ -105,17 +105,21 @@ def test_enumerate_matches_bijection():
             ], (mu, case)
 
 
-def test_cap_threshold_is_exact():
+def test_cap_threshold_is_exact(monkeypatch):
     # the tableaux come from the chain search: 11,065 nodes on (4,3,2,1), case 1
-    assert len(enumerate_tableaux((4, 3, 2, 1), 1, cap=11065)) == 3328
+    monkeypatch.setenv("AZTEC_CAP", "11065")
+    assert len(enumerate_tableaux((4, 3, 2, 1), 1)) == 3328
+    monkeypatch.setenv("AZTEC_CAP", "11064")
     with pytest.raises(CapExceeded):
-        enumerate_tableaux((4, 3, 2, 1), 1, cap=11064)
+        enumerate_tableaux((4, 3, 2, 1), 1)
 
 
-def test_case2_cap_threshold_is_exact():
-    assert len(enumerate_tableaux((4, 3, 2, 1), 2, cap=81116)) == 32032
+def test_case2_cap_threshold_is_exact(monkeypatch):
+    monkeypatch.setenv("AZTEC_CAP", "81116")
+    assert len(enumerate_tableaux((4, 3, 2, 1), 2)) == 32032
+    monkeypatch.setenv("AZTEC_CAP", "81115")
     with pytest.raises(CapExceeded):
-        enumerate_tableaux((4, 3, 2, 1), 2, cap=81115)
+        enumerate_tableaux((4, 3, 2, 1), 2)
 
 
 def test_rows_have_at_most_one_barred_value():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from aztec_triangles import verify
+from aztec_triangles.delannoy import d_submatrix
 from aztec_triangles.exact import Matrix, binomial
-from aztec_triangles.paths import d_submatrix
 from aztec_triangles.verify import (
     check_degree_and_leading,
     check_detprop,
