@@ -19,8 +19,8 @@ __version__ = "1.0.0"
 _EXPORTS = {
     **dict.fromkeys(
         (
-            "count_D_paths_bruteforce", "count_H_paths_bruteforce", "d_submatrix",
-            "delannoy_D", "delannoy_H", "half_shift_expansion", "lgv_matrix",
+            "count_D_paths_bruteforce", "count_H_paths_bruteforce", "delannoy_D",
+            "delannoy_H", "half_shift_expansion", "lgv_matrix",
         ),
         "delannoy",
     ),
@@ -70,8 +70,7 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "check_degree_and_leading", "check_detprop", "check_gamma6", "check_id1",
-            "check_id2", "check_main", "check_step1", "check_step2", "check_step3",
-            "check_step4", "run_suite",
+            "check_id2", "check_main", "run_suite",
         ),
         "verify",
     ),

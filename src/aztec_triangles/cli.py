@@ -70,7 +70,7 @@ def _cmd_count(args) -> int:
             product_case1(k, 2 * n) if args.case == 1 else product_case2(k, n)
         )
     else:  # brute
-        value = len(_items("tiling", mu, args.case))
+        value = _items("tiling", mu, args.case).goals
     print(value)
     return 0
 
@@ -103,7 +103,7 @@ def _cmd_enumerate(args) -> int:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     mu = parse_partition(args.mu)
     items = _items(args.model, mu, args.case)
-    total = len(items)
+    total = items.goals
     emitted = total if args.limit is None else min(args.limit, total)
     print(json.dumps({"mu": list(mu), "case": args.case, "model": args.model,
                       "count": total, "emitted": emitted}))
@@ -119,10 +119,10 @@ def _cmd_crosscheck(args) -> int:
     mu = parse_partition(args.mu)
     case = args.case
     counts = {
-        "sequences": len(_items("sequence", mu, case)),
-        "tableaux": len(_items("tableau", mu, case)),
-        "paths": len(_items("paths", mu, case)),
-        "tilings": len(_items("tiling", mu, case)),
+        "sequences": _items("sequence", mu, case).goals,
+        "tableaux": _items("tableau", mu, case).goals,
+        "paths": _items("paths", mu, case).goals,
+        "tilings": _items("tiling", mu, case).goals,
         "determinant": count_sequences(mu, case),
     }
     agree = len(set(counts.values())) == 1
@@ -146,9 +146,9 @@ def _cmd_render(args) -> int:
         text = render(build_domain(mu, args.case), args.format)
     else:
         tilings = _items("tiling", mu, args.case)
-        if not 0 <= args.tiling_index < len(tilings):
+        if not 0 <= args.tiling_index < tilings.goals:
             raise ValueError(
-                f"tiling index {args.tiling_index} out of range (0..{len(tilings) - 1})"
+                f"tiling index {args.tiling_index} out of range (0..{tilings.goals - 1})"
             )
         text = render(tilings[args.tiling_index], args.format)
     if args.output:

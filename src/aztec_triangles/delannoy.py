@@ -14,16 +14,19 @@ sums in ``int`` arithmetic too, over one common denominator, and builds a
 single ``Fraction`` at the end.  Every count the CLI prints takes the
 ``int`` path.
 
-``lgv_matrix`` and ``d_submatrix`` assemble the LGV and staircase
+``lgv_matrix`` and ``staircase_rows`` assemble the LGV and staircase
 matrices, and ``lgv_determinant`` counts by the LGV matrix.  They live
 here, not in ``paths``, so that a determinant count loads none of the path,
 tableau and chain models; ``paths`` still binds ``lgv_matrix``.  The LGV
-matrix reads its entries one by one from ``delannoy_D`` and
-``delannoy_H``.  Both staircase matrices, D1(k; n) at any rational n
-and D2(k; n) at an integer n, read theirs off one ``int`` table of
-D(a, n-1-j) that two recurrences fill (``_delannoy_table``).  Nothing here
-keeps state between calls: a caller that looks the same values up again
-and again caches them itself.
+matrix is the leading block of the nonzero parts, and reads its entries
+one by one from ``delannoy_D`` and ``delannoy_H``, an oracle independent
+of the staircase builder.  ``staircase_rows`` gives both staircase
+matrices, D1(k; n) at any rational n and D2(k; n) at an integer n, as
+``int`` rows over row scales, read off one ``int`` table of D(a, n-1-j)
+that two recurrences fill (``_delannoy_table``).  At an integer n it is the
+LGV matrix of the padded staircase, entry for entry.  Nothing here keeps
+state between calls: a caller that looks the same values up again and
+again caches them itself.
 
 The brute-force counters walk the step set directly and serve as
 independent oracles for the closed forms.
@@ -68,15 +71,24 @@ def delannoy_H(i: int, j: int) -> int:
 
 
 def lgv_matrix(mu: Partition, case: int) -> Matrix:
-    """n x n matrix of single-path counts whose determinant counts the
-    vertex-disjoint families (and hence the chains)."""
+    """The leading l x l block of the n x n matrix of single-path counts,
+    l the number of nonzero parts of mu; its determinant counts the
+    vertex-disjoint families (and hence the chains).
+
+    Entry (a, b) of the full matrix is D(mu_a - a + b, n - b - 1) (H in
+    case 2).  For a zero part a >= l that is D(b - a, n - b - 1), which is
+    0 for b < a and 1 for b = a (H likewise).  So the full matrix is block
+    upper-triangular, its lower-right block is unit upper-triangular, and
+    its determinant is that of the leading block.  In path terms, path a is
+    the vertical segment x = -a, which no path of a nonzero part reaches.
+    """
     if case not in (1, 2):
         raise ValueError(f"case must be 1 or 2, got {case}")
     mu = pad(check_partition(tuple(mu)), len(mu))
-    n = len(mu)
+    n, ell = len(mu), len(mu) - mu.count(0)
     count = delannoy_D if case == 1 else delannoy_H
     return Matrix(
-        [[count(mu[a] - a + b, n - b - 1) for b in range(n)] for a in range(n)]
+        [[count(mu[a] - a + b, n - b - 1) for b in range(ell)] for a in range(ell)]
     )
 
 
@@ -95,50 +107,31 @@ def lgv_determinant(mu: Partition, case: int) -> int:
     return Matrix([row[::-1] for row in reversed(rows)]).determinant()
 
 
-def d_submatrix(k: int, n: Exact, case: int) -> Matrix:
-    """The k x k matrix governing staircase shapes mu = (k,...,1,0^(n-k)).
+def staircase_rows(k: int, n: Exact, case: int) -> tuple[list[list[int]], list[int]]:
+    """The k x k staircase matrix of mu = (k,...,1,0^(n-k)) as ``int`` rows
+    over positive row scales: entry (i, j) is ``rows[i][j] / scales[i]``.
 
-    Case 1 uses entries D(k-2i+j, n-j-1) for 0 <= i,j <= k-1 with the
-    polynomial extension of D, so n may be any rational; they are the rows
-    of ``d1_rows`` divided by their scales.  Case 2 uses H(2j-i, i+n-k-1)
-    for 1 <= i,j <= k and needs integer n, where ``_delannoy_table`` has
-    scale 1, so its entries are plain ``int`` sums of two table entries.
-    """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    if case == 1:
-        rows, scales = d1_rows(k, n)
-        return Matrix(
-            [[normalize(Fraction(x, c)) for x in row] for row, c in zip(rows, scales)]
-        )
-    if case == 2:
-        if isinstance(n, Fraction):
-            if n.denominator != 1:
-                raise ValueError("the H matrix is defined for integer n only")
-            n = int(n)
-        # h[col][a] = D(a, y) + D(a-1, y) = H(a, y) at y = n-1-col, with
-        # D(-1, y) = 0; i+n-k-1 is column k-i, and a = 2j-i < 2k
-        h = [[x + y for x, y in zip(d, [0, *d])] for d in _delannoy_table(k, n)[0]]
-        return Matrix(
-            [
-                [h[k - i][a] if (a := 2 * j - i) >= 0 else 0 for j in range(1, k + 1)]
-                for i in range(1, k + 1)
-            ]
-        )
-    raise ValueError(f"case must be 1 or 2, got {case}")
-
-
-def d1_rows(k: int, n: Exact) -> tuple[list[list[int]], list[int]]:
-    """D1(k; n) as ``int`` rows over positive row scales: entry (i, j),
-    D(k-2i+j, n-j-1), equals ``rows[i][j] / scales[i]`` for any rational n.
+    Entry (i, j) is D(k-2i+j, n-j-1) in case 1, the paper's D1(k; n), with
+    the polynomial extension of D, so n may be any rational.  In case 2 it
+    is H(k-2i+j, n-j-1) and n must be an integer: the paper's D2(k; n),
+    H(2j-i, i+n-k-1) for 1 <= i,j <= k, anti-transposed (its entry (i, j)
+    is this one's (k-j, k-i)), which leaves the determinant unchanged.  At
+    an integer n, this is ``lgv_matrix`` of the padded staircase.
 
     Row i reads its entries off ``_delannoy_table(k, n)``.  Its first
     arguments a = k-2i+j are at most 2k-2i-1, so it is lifted to the scale
     c_(2k-2i-1), which every c_a with a smaller a divides (1 at an integer n).
     """
+    if case not in (1, 2):
+        raise ValueError(f"case must be 1 or 2, got {case}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
+    if case == 2 and isinstance(n, Fraction) and n.denominator != 1:
+        raise ValueError("the H matrix is defined for integer n only")
     table, c = _delannoy_table(k, n)
+    if case == 2:
+        # H(a, y) = D(a, y) + D(a-1, y), with D(-1, y) = 0; every scale is 1
+        table = [[x + y for x, y in zip(d, [0, *d])] for d in table]
     scales = [c[2 * k - 2 * i - 1] for i in range(k)]
     rows = [
         [
@@ -154,12 +147,12 @@ def _delannoy_table(k: int, n: Exact) -> tuple[list[list[int]], list[int]]:
     """``table[j][a]`` = N[a][j] = D(a, y_j) * c_a as ``int``s, y_j = n-1-j,
     for a = 0..2k-1 and j = 0..k-1, and the scales ``c``.
 
-    D1(k; n) reads D(k-2i+j, y_j), and D2(k; n) reads H(2j-i, y_(k-i)) =
-    D(a, y) + D(a-1, y) at a = 2j-i; both stay inside a < 2k and j < k, so
-    this one table serves both.  For n = p/q in lowest terms the scale is
-    c_a = f_1 ... f_a with f_a = a q when q > 1, and c_a = 1 (f_a = 1) when
-    n is an integer.  Two recurrences fill the table, a few ``int``
-    operations per entry:
+    ``staircase_rows`` reads entry (i, j) at a = k-2i+j and y_j: D(a, y_j) in
+    case 1 and H(a, y_j) = D(a, y_j) + D(a-1, y_j) in case 2.  Both stay
+    inside a < 2k and j < k, so this one table serves both.  For n = p/q in
+    lowest terms the scale is c_a = f_1 ... f_a with f_a = a q when q > 1,
+    and c_a = 1 (f_a = 1) when n is an integer.  Two recurrences fill the
+    table, a few ``int`` operations per entry:
 
     - column 0 by a D(a, y) = (2y+1) D(a-1, y) + (a-1) D(a-2, y), which
       sum_a D(a, y) x^a = (1+x)^y / (1-x)^(y+1) gives; scaled,

@@ -48,10 +48,12 @@ class Found:
     """The items of one ``memo_search``, kept as its live steps; it reads
     like the list of them, without slices.
 
-    ``len`` is the goal count.  Iterating builds each item, ``wrap`` of the
-    fold of a goal's payloads, in walk order; ``found[i]``, for an integer
-    i counted from the end when negative, builds item i alone, choosing
-    each step on the way by the goal counts below it."""
+    ``goals`` is the goal count, an ``int`` of any size.  ``len`` returns
+    it too, but stops at ``sys.maxsize``: above that it raises
+    ``OverflowError``.  Iterating builds each item, ``wrap`` of the fold of
+    a goal's payloads, in walk order; ``found[i]``, for an integer i
+    counted from the end when negative, builds item i alone, choosing each
+    step on the way by the goal counts below it."""
 
     __slots__ = ("start", "fold", "goals", "live", "wrap")
 

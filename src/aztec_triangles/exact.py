@@ -1,5 +1,5 @@
 """Exact integer/rational arithmetic: extended binomials, shifted factorials
-and fraction-free determinants.
+and fraction-free determinants of integer matrices.
 
 Every value is an ``int`` or a ``fractions.Fraction``; nothing here ever
 rounds.  Results with denominator 1 are normalized back to ``int`` so that
@@ -9,13 +9,14 @@ counts print and compare as plain integers.
 builds a ``Fraction``; a ``Fraction`` x, even one with denominator 1, takes
 the ``Fraction`` path, with the same value.  ``pochhammer`` needs no second
 path: for an ``int`` x its product stays in ``int`` arithmetic.
-``Matrix.determinant`` has one path for every exact matrix: it scales each
-row to integers and eliminates in ``int`` arithmetic, building at most one
-``Fraction``, for the result.
+``Matrix.determinant`` takes ``int`` entries only and eliminates in ``int``
+arithmetic.  A caller with rational entries scales each row to integers
+itself (``delannoy.staircase_rows`` builds its rows that way) and divides
+the determinant by the product of the scales.
 """
 
 from fractions import Fraction
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 
 Exact = int | Fraction
 
@@ -82,39 +83,26 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.entries]!r})"
 
-    def determinant(self) -> Exact:
-        """Exact determinant by fraction-free (Bareiss) elimination.
+    def determinant(self) -> int:
+        """Exact determinant of an ``int`` matrix by fraction-free (Bareiss)
+        elimination.
 
         Pivots on the first nonzero entry of each column, swapping rows with
         sign tracking; an all-zero column short-circuits to 0.  The 0x0
-        determinant is 1.
-
-        Each row that holds a ``Fraction`` is first multiplied by the lcm
-        of its entries' denominators, and the product of those scales
-        divides the result, so elimination always runs on ``int`` entries.
-        There each Bareiss quotient is exact (Sylvester's identity) and
-        divides with ``//``.  A row whose entries are all ``int`` is taken
-        as it is, with no scaling work, and an integer matrix returns an
-        ``int``.  Any entry that is neither ``int`` nor ``Fraction`` raises
-        ``TypeError``.
+        determinant is 1.  Each Bareiss quotient is exact (Sylvester's
+        identity) and divides with ``//``.  Any entry that is not an
+        ``int`` raises ``TypeError``.
         """
         n = self.nrows
         if any(len(row) != n for row in self.entries):
             raise ValueError(f"determinant of {n}x{len(self.entries[0])} matrix")
+        for row in self.entries:
+            for x in row:
+                if type(x) is not int:
+                    raise TypeError(f"int entries required, got {type(x).__name__}")
         if n == 0:
             return 1
-        a = []
-        scale = 1
-        for row in self.entries:
-            if all(type(x) is int for x in row):
-                a.append(list(row))
-                continue
-            for x in row:
-                if not isinstance(x, (int, Fraction)):
-                    raise TypeError(f"exact rational required, got {type(x).__name__}")
-            d = lcm(*(x.denominator for x in row))
-            a.append([x.numerator * (d // x.denominator) for x in row])
-            scale *= d
+        a = [list(row) for row in self.entries]
         sign = 1
         prev = 1
         for r in range(n - 1):
@@ -129,4 +117,4 @@ class Matrix:
                     a[i][j] = (a[i][j] * a[r][r] - a[i][r] * a[r][j]) // prev
                 a[i][r] = 0
             prev = a[r][r]
-        return normalize(Fraction(sign * a[n - 1][n - 1], scale))
+        return sign * a[n - 1][n - 1]

@@ -10,10 +10,10 @@ choosing path j against path j-1 alone.
 Steps are recorded as a word over N (north), D (northeast diagonal) and
 E (east).
 
-The determinant side, ``lgv_matrix`` and ``d_submatrix``, is built in
-``delannoy`` beside the entries, so that counting by determinant never
-imports this module or the tableaux it draws on; ``lgv_matrix`` is bound
-here as well.
+The determinant side, ``lgv_matrix`` (the leading block of the nonzero
+parts) and the staircase matrices, is built in ``delannoy`` beside the
+entries, so that counting by determinant never imports this module or the
+tableaux it draws on; ``lgv_matrix`` is bound here as well.
 """
 
 from functools import partial

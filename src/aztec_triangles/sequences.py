@@ -99,7 +99,7 @@ def _strip_extensions(lam, bound, max_parts, vertical):
     bound with at most max_parts nonzero parts, in ascending order, built
     row by row with each part capped by the last."""
     found = [()]
-    for r in range(min(max_parts, len(bound))):
+    for r in range(min(max_parts, len(normalize(bound)))):
         lo = part(lam, r)
         top = lo + 1 if vertical else part(lam, r - 1) if r else bound[r]
         hi = min(bound[r], top)

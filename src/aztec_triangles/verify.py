@@ -6,15 +6,16 @@ linear relations behind each factor's exponent.  The two double-sum
 identities are the closed forms those relations reduce to.  Everything here
 is an exact equality of rationals; there are no tolerances.
 
-The checks on the staircase matrix D1(k; n) (steps 1-4, ``detprop``,
-``main``, ``degree``) read it as ``d1_rows`` gives it: ``int`` rows over
-positive row scales.  So a kernel step's residual, a combination of
-entries, is an ``int`` sum over a positive scale (the row's scale for steps
-1 and 2; for steps 3 and 4 one common denominator W of the weights over
-their rows' scales), and it is zero exactly when that ``int`` sum is.  A
-determinant is the ``int`` rows' determinant over the product of the
-scales.  Every check looks ``d1_rows`` up in this module when it runs, so a
-test can put a stand-in there.
+The checks on the staircase matrices D1(k; n) and D2(k; n) (steps 1-4,
+``detprop``, ``main``, ``degree``) read them as ``staircase_rows`` gives
+them: ``int`` rows over positive row scales.  So a kernel step's residual,
+a combination of entries, is an ``int`` sum over a positive scale (the
+row's scale for steps 1 and 2; for steps 3 and 4 one common denominator W
+of the weights over their rows' scales), and it is zero exactly when that
+``int`` sum is.  Every determinant is read through ``_staircase_det``: the
+``int`` rows' determinant over the product of the scales.  Every check
+looks ``staircase_rows`` up in this module when it runs, so a test can put
+a stand-in there.
 
 Step 3 note: the first sum carries (-1)^(i-a), not (-1)^i; expanding the
 alternating binomial sum produces a global (-1)^a that has to cancel
@@ -34,8 +35,8 @@ from functools import cache
 from math import factorial, lcm, prod
 
 from .delannoy import (
-    count_D_paths_bruteforce, count_H_paths_bruteforce, d1_rows, d_submatrix,
-    delannoy_D, delannoy_H, half_shift_expansion, lgv_determinant,
+    count_D_paths_bruteforce, count_H_paths_bruteforce, delannoy_D, delannoy_H,
+    half_shift_expansion, lgv_determinant, staircase_rows,
 )
 from .exact import Exact, Matrix, binomial, normalize, pochhammer
 from .formulas import leading_coefficient, product_main
@@ -67,8 +68,8 @@ def _record(suite, params, passed, residual=None) -> dict:
     return rec
 
 
-# Where each kernel step is legal, as a predicate on (k, s, a); the checks'
-# guards and ``step_parameter_grid`` both read it.
+# Where each kernel step is legal, as a predicate on (k, s, a);
+# ``step_parameter_grid`` reads it.
 _LEGAL = {
     ("step1", None): lambda k, s, a: (
         0 <= a <= s and k >= 2 * s - a + 2 and (k - a) % 2 == 0
@@ -82,10 +83,10 @@ _LEGAL = {
 }
 
 
-def _d1_det(k: int, n: Exact) -> Exact:
-    """det D1(k; n): the determinant of ``d1_rows``'s ``int`` rows over the
-    product of their scales."""
-    rows, scales = d1_rows(k, n)
+def _staircase_det(k: int, n: Exact, case: int) -> Exact:
+    """det D1(k; n) (case 1) or det D2(k; n) (case 2): the determinant of
+    ``staircase_rows``'s ``int`` rows over the product of their scales."""
+    rows, scales = staircase_rows(k, n, case)
     return normalize(Fraction(Matrix(rows).determinant(), prod(scales)))
 
 
@@ -93,10 +94,8 @@ def _kernel_step(step: str, variant, k: int, s: int, a: int, d1, coeff) -> dict:
     """Combine the columns (steps 1, 2) or rows (steps 3, 4) of D1(k; n) at
     the step's root n, whose ``int`` rows and scales ``d1(k, n)`` gives;
     ``coeff(s, l, t)`` gives step 4's row weights (``_coeff`` or a cache of
-    it).  It passes when every combination is 0."""
-    if not _LEGAL[step, variant](k, s, a):
-        label = f"step {step[-1]}" + (f" ({variant})" if variant else "")
-        raise ValueError(f"illegal {label} parameters {(k, s, a)}")
+    it).  It passes when every combination is 0.  (step, variant, k, s, a)
+    must be a point of ``step_parameter_grid``."""
     params = {"k": k, "s": s, "a": a}
     if step == "step1":
         (rows, scales), top = d1(k, s + 1), 2 * s - 2 * a + 1
@@ -136,21 +135,6 @@ def _kernel_step(step: str, variant, k: int, s: int, a: int, d1, coeff) -> dict:
     return _record(step, params, passed, residual)
 
 
-def check_step1(k: int, s: int, a: int) -> dict:
-    """Binomial column combination vanishing at n = s + 1 (k = a mod 2)."""
-    return _kernel_step("step1", None, k, s, a, d1_rows, _coeff)
-
-
-def check_step2(k: int, s: int, a: int) -> dict:
-    """Binomial column combination vanishing at n = s + 1/2 (k != a mod 2)."""
-    return _kernel_step("step2", None, k, s, a, d1_rows, _coeff)
-
-
-def check_step3(k: int, s: int, a: int) -> dict:
-    """Alternating row combination minus a power-of-two tail, at n = -k+s+1."""
-    return _kernel_step("step3", None, k, s, a, d1_rows, _coeff)
-
-
 def _head(s: int, l: int, t: int) -> Fraction:
     """The term of c1(s, l) (t = 0) or c2(s, l) (t = 1) outside the sum
     over r; the outer factor of id1 or id2."""
@@ -176,14 +160,6 @@ def _coeff(s: int, l: int, t: int) -> Fraction:
             / factorial(s - r)
         )
     return (-1) ** (1 - t) * _head(s, l, t) - (4 * l - 4 * s + 1 - 2 * t) * tail
-
-
-def check_step4(k: int, s: int, a: int, variant: str) -> dict:
-    """Row combinations with the c1/c2 coefficients, vanishing at the
-    half-integer roots n = -k+2s-1/2 (odd) and n = -k+2s+1/2 (even)."""
-    if variant not in ("odd", "even"):
-        raise ValueError(f"variant must be 'odd' or 'even', got {variant!r}")
-    return _kernel_step("step4", variant, k, s, a, d1_rows, _coeff)
 
 
 def _double_sum(k: int, s: int, t: int) -> Exact:
@@ -230,14 +206,14 @@ def check_detprop(k: int, n: int) -> bool:
     """det D1(k; n+1/2) = det D2(k; n)."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return _d1_det(k, n + _HALF) == d_submatrix(k, n, 2).determinant()
+    return _staircase_det(k, n + _HALF, 1) == _staircase_det(k, n, 2)
 
 
 def check_main(k: int, n: Exact) -> bool:
     """det D1(k; n) equals the factored product, exactly."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return _d1_det(k, n) == product_main(k, n)
+    return _staircase_det(k, n, 1) == product_main(k, n)
 
 
 def check_degree_and_leading(k: int) -> bool:
@@ -251,7 +227,7 @@ def check_degree_and_leading(k: int) -> bool:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     top = k * (k + 1) // 2
-    diffs = [_d1_det(k, x) for x in range(top + 2)]
+    diffs = [_staircase_det(k, x, 1) for x in range(top + 2)]
     for _ in range(top):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     low, high = diffs  # Delta^top f(0), Delta^top f(1)
@@ -332,7 +308,7 @@ def suite_kernels(kmax: int = 8) -> list[dict]:
     # those roots, so each D1(k; n) is built once and kept for that (k, s).
     # Step 4's weights depend only on (s - a, i - a, t) and are kept for the
     # whole call.
-    d1, coeff = cache(d1_rows), cache(_coeff)
+    d1, coeff = cache(lambda k, n: staircase_rows(k, n, 1)), cache(_coeff)
     records, at = [], None
     for step, k, s, a, variant in step_parameter_grid(kmax):
         if (k, s) != at:

@@ -614,6 +614,76 @@ def test_det_equals_product_on_staircase_100(capsys):
     assert outs[0] == outs[1] and outs[0][0] == 0 and outs[0][2] == ""
 
 
+STAIRCASE_4_PADDED = "4,3,2,1" + ",0" * 2996
+
+
+@pytest.mark.parametrize("case", [1, 2])
+@pytest.mark.parametrize(
+    "mu", [",".join(["0"] * 3000), STAIRCASE_4_PADDED], ids=["zeros", "staircase-4"]
+)
+def test_det_on_3000_parts_is_fast(capsys, mu, case):
+    # zero parts stay out of the LGV block, so the count takes the same time
+    # with 3,000 parts as without; end to end, in a fresh interpreter
+    if mu == STAIRCASE_4_PADDED:
+        code, expected, _ = run_cli(
+            capsys, "count", "--mu", mu, "--case", str(case), "--method", "product"
+        )
+        assert code == 0
+    else:
+        expected = "1\n"
+    began = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-m", "aztec_triangles.cli", "count", "--mu", mu,
+         "--case", str(case), "--method", "det"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert time.perf_counter() - began < 1
+    assert (child.returncode, child.stdout, child.stderr) == (0, expected, "")
+
+
+def test_enumerate_header_counts_above_maxsize(capsys, monkeypatch):
+    # 1,207,261,554,758,889,670,656 chains, more than len() can return; the
+    # zero rows of the bound add nothing to the chain search
+    from aztec_triangles.formulas import product_case1
+
+    monkeypatch.setenv("AZTEC_CAP", str(10**30))
+    began = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "enumerate", "--mu", "4,3,2,1" + ",0" * 146, "--case", "1",
+        "--model", "sequence", "--limit", "0",
+    )
+    assert time.perf_counter() - began < 3
+    assert code == 0 and err == ""
+    header = json.loads(out)
+    assert header["count"] == product_case1(4, 300) > sys.maxsize
+    assert header["emitted"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (("count", *SMALL_CASE_1, "--method", "brute"), 0, f"{2**64}\n", ""),
+        (("crosscheck", *SMALL_CASE_1), 1,
+         json.dumps({"mu": [2, 1], "case": 1, "sequences": 2**64, "tableaux": 2**64,
+                     "paths": 2**64, "tilings": 2**64, "determinant": 4,
+                     "agree": False}) + "\n", ""),
+        (("render", *SMALL_CASE_1, "--tiling-index", str(2**64), "--format", "ascii"),
+         2, "", f"error: tiling index {2**64} out of range (0..{2**64 - 1})\n"),
+    ],
+    ids=["count", "crosscheck", "render-index"],
+)
+def test_goal_counts_above_maxsize(capsys, monkeypatch, argv, code, out, err):
+    # every search stands in for one with 2^64 goals; len() would raise
+    from aztec_triangles.errors import Found
+
+    monkeypatch.setattr(cli, "_items", lambda model, mu, case: Found(
+        None, None, 2**64, None, None))
+    assert run_cli(capsys, *argv) == (code, out, err)
+
+
 # sha256 of each help text at 80 columns (Python 3.11 argparse); the verify
 # one lists the suite names.
 HELP_DIGESTS = {
@@ -719,7 +789,7 @@ def test_verify_loads_no_dataclasses(argv, module):
 
 def test_package_root_is_lazy_and_complete():
     assert loaded_modules("import sys, aztec_triangles") == set()
-    assert len(aztec_triangles.__all__) == 58
+    assert len(aztec_triangles.__all__) == 53
     namespace = {}
     exec("from aztec_triangles import *", namespace)
     for name in aztec_triangles.__all__:

@@ -5,11 +5,10 @@ import pytest
 from aztec_triangles.delannoy import (
     count_D_paths_bruteforce,
     count_H_paths_bruteforce,
-    d1_rows,
-    d_submatrix,
     delannoy_D,
     delannoy_H,
     half_shift_expansion,
+    staircase_rows,
 )
 from aztec_triangles.exact import binomial
 
@@ -147,15 +146,14 @@ def test_polynomial_in_second_argument():
 
 
 def test_d1_rows_match_reference_entries():
-    # rows over scales equal the binomial-sum entries D(k-2i+j, n-j-1) at
-    # n in -12..12 in halves, thirds and sevenths; an integer n, even as a
-    # Fraction, gives plain int rows over scale 1; d_submatrix keeps each
-    # entry's value and type
+    # case 1 rows over scales equal the binomial-sum entries
+    # D(k-2i+j, n-j-1) at n in -12..12 in halves, thirds and sevenths; an
+    # integer n, even as a Fraction, gives plain int rows over scale 1
     for k in range(11):
         for b in (2, 3, 7):
             for a in range(-12 * b, 12 * b + 1):
                 n = Fraction(a, b)
-                rows, scales = d1_rows(k, n)
+                rows, scales = staircase_rows(k, n, 1)
                 reference = [
                     [delannoy_D(k - 2 * i + j, n - j - 1) for j in range(k)]
                     for i in range(k)
@@ -167,24 +165,25 @@ def test_d1_rows_match_reference_entries():
                 if n.denominator == 1:
                     assert scales == [1] * k
                     assert all(type(x) is int for row in rows for x in row)
-                entries = d_submatrix(k, n, 1).entries
-                assert entries == tuple(map(tuple, reference))
-                assert [list(map(type, row)) for row in entries] == [
-                    list(map(type, row)) for row in reference
-                ]
 
 
 def test_d2_matches_reference_entries():
-    # D2(k; n) read off the recurrence table equals H(2j-i, i+n-k-1) from
-    # the closed form, entry by entry, as plain ints; an integer n given as
-    # a Fraction gives the same matrix
+    # case 2 is the paper's D2(k; n), H(2j-i, i+n-k-1) for 1 <= i,j <= k
+    # from the closed form, anti-transposed: its entry (i, j) is case 2's
+    # (k-j, k-i), H(k-2i+j, n-j-1) there.  Plain ints over scale 1; an
+    # integer n given as a Fraction gives the same rows
     for k in range(11):
         for n in range(-12, 13):
-            reference = tuple(
-                tuple(delannoy_H(2 * j - i, i + n - k - 1) for j in range(1, k + 1))
+            reference = [
+                [delannoy_H(2 * j - i, i + n - k - 1) for j in range(1, k + 1)]
                 for i in range(1, k + 1)
-            )
+            ]
             for given in (n, Fraction(2 * n, 2)):
-                entries = d_submatrix(k, given, 2).entries
-                assert entries == reference, (k, given)
-                assert all(type(x) is int for row in entries for x in row)
+                rows, scales = staircase_rows(k, given, 2)
+                assert scales == [1] * k
+                assert all(type(x) is int for row in rows for x in row)
+                assert [
+                    [rows[k - j][k - i] for j in range(1, k + 1)]
+                    for i in range(1, k + 1)
+                ] == reference, (k, given)
+

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
@@ -108,13 +107,16 @@ def test_floats_are_rejected():
     for fn in (binomial, pochhammer):
         with pytest.raises(TypeError, match="^exact rational required, got float$"):
             fn(1.5, 2)
-    for rows in ([[0.5]], [[1, 2.0], [3, 4]], [[Fraction(1, 2), 1], [0.25, 1]]):
+    # determinants take int entries only, so a Fraction is refused too
+    for rows in (
+        [[0.5]], [[1, 2.0], [3, 4]], [[Fraction(1, 2), 1], [0.25, 1]], [[Fraction(1, 2)]]
+    ):
         with pytest.raises(TypeError):
             Matrix(rows).determinant()
 
 
-def _det_by_permutation_expansion(m: Matrix):
-    total = Fraction(0)
+def _det_by_permutation_expansion(m: Matrix) -> int:
+    total = 0
     n = m.nrows
     for perm in permutations(range(n)):
         sign = 1
@@ -122,10 +124,7 @@ def _det_by_permutation_expansion(m: Matrix):
             for j in range(i + 1, n):
                 if perm[i] > perm[j]:
                     sign = -sign
-        prod = Fraction(1)
-        for i in range(n):
-            prod *= m.entries[i][perm[i]]
-        total += sign * prod
+        total += sign * prod(m.entries[i][perm[i]] for i in range(n))
     return total
 
 
@@ -147,18 +146,6 @@ def test_determinant_needs_row_swap():
     assert m.determinant() == -1
 
 
-def test_determinant_matches_permutation_expansion():
-    rng = random.Random(20240817)
-    for _ in range(25):
-        m = Matrix(
-            [
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
-                for _ in range(4)
-            ]
-        )
-        assert m.determinant() == _det_by_permutation_expansion(m)
-
-
 _int_rows = st.integers(min_value=0, max_value=6).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
@@ -172,7 +159,7 @@ _int_rows = st.integers(min_value=0, max_value=6).flatmap(
 @example([[0, 1, 2], [3, 4, 5], [6, 7, 8]], 0)  # singular, swap at the first pivot
 @example([[1, 2, 3], [2, 4, 7], [5, 1, 1]], 0)  # swap at the second pivot
 @example([[0, 0], [0, 5]], 0)  # all-zero first column
-def test_int_determinant_matches_fraction_and_expansion(rows, shape):
+def test_int_determinant_matches_expansion(rows, shape):
     # shape 1 makes the last row a copy of the first, or zero when n = 1
     # (singular); shape 2 zeroes the first pivot
     if rows and shape == 1:
@@ -182,49 +169,8 @@ def test_int_determinant_matches_fraction_and_expansion(rows, shape):
     m = Matrix(rows)
     value = m.determinant()
     assert type(value) is int
-    as_fractions = Matrix([[Fraction(x) for x in row] for row in rows])
-    assert value == as_fractions.determinant() == _det_by_permutation_expansion(m)
-    if rows and shape == 1:
-        assert value == 0
-
-
-_rational = st.builds(
-    Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from([1, 2, 3, 7])
-)
-_rational_rows = st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: st.lists(
-        st.lists(_rational, min_size=n, max_size=n), min_size=n, max_size=n
-    )
-)
-
-
-@given(_rational_rows, st.integers(min_value=0, max_value=3))
-@example([[Fraction(0), Fraction(1, 2)], [Fraction(2, 3), Fraction(5, 7)]], 0)
-@example(  # swap at the second pivot
-    [[Fraction(1, 2), Fraction(1, 3), 1], [1, Fraction(2, 3), Fraction(1, 7)],
-     [Fraction(3, 7), 2, Fraction(5, 2)]],
-    0,
-)
-@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 7), Fraction(2, 7)]], 1)
-def test_rational_determinant_matches_expansion(rows, shape):
-    # shape 1 makes the last row 2/3 of the first plus 1/7 of the one before
-    # it, or zero when n = 1 (singular); shape 2 zeroes the first pivot, so
-    # the first column needs a row swap; shape 3 zeroes the first column
-    if shape == 1:
-        rows[-1] = (
-            [Fraction(2, 3) * x + Fraction(1, 7) * y for x, y in zip(rows[0], rows[-2])]
-            if len(rows) > 1 else [0]
-        )
-    if shape == 2:
-        rows[0][0] = 0
-    if shape == 3:
-        for row in rows:
-            row[0] = 0
-    m = Matrix(rows)
-    value = m.determinant()
     assert value == _det_by_permutation_expansion(m)
-    assert type(value) is (int if Fraction(value).denominator == 1 else Fraction)
-    if shape in (1, 3):
+    if rows and shape == 1:
         assert value == 0
 
 

@@ -5,10 +5,10 @@ import pytest
 from conftest import small_partitions
 
 from aztec_triangles.delannoy import (
-    d_submatrix,
     delannoy_D,
     delannoy_H,
     lgv_determinant,
+    staircase_rows,
 )
 from aztec_triangles.errors import CapExceeded
 from aztec_triangles.exact import Matrix
@@ -102,64 +102,82 @@ def test_lgv_agreement_grid():
             assert all(validate_family(f) for f in fams)
 
 
+def test_lgv_matrix_is_the_leading_block():
+    # the block of the nonzero parts has the determinant of the full n x n
+    # matrix, built here from the closed forms
+    for mu in small_partitions(5, 6):
+        n = len(mu)
+        for case, count in ((1, delannoy_D), (2, delannoy_H)):
+            block = lgv_matrix(mu, case)
+            assert block.nrows == n - mu.count(0)
+            full = Matrix(
+                [[count(mu[a] - a + b, n - b - 1) for b in range(n)] for a in range(n)]
+            )
+            assert block.determinant() == full.determinant(), (mu, case)
+
+
 def test_d_submatrix_examples():
-    assert d_submatrix(1, 5, 1) == Matrix([[9]])  # D1(1;n) = [[2n-1]]
-    assert d_submatrix(2, 1, 1) == Matrix([[1, -1], [1, -1]])
-    assert d_submatrix(2, 1, 1).determinant() == 0
-    assert d_submatrix(1, 4, 2) == Matrix([[8]])  # D2(1;n) = [[2n]]
-    assert d_submatrix(0, 3, 1).determinant() == 1
-    assert d_submatrix(2, -1, 1) == Matrix([[5, -25], [1, -5]])
+    assert staircase_rows(1, 5, 1) == ([[9]], [1])  # D1(1;n) = [[2n-1]]
+    assert staircase_rows(2, 1, 1) == ([[1, -1], [1, -1]], [1, 1])
+    assert Matrix(staircase_rows(2, 1, 1)[0]).determinant() == 0
+    assert staircase_rows(1, 4, 2) == ([[8]], [1])  # D2(1;n) = [[2n]]
+    assert staircase_rows(0, 3, 1) == ([], [])
+    assert staircase_rows(2, -1, 1) == ([[5, -25], [1, -5]], [1, 1])
 
 
 def test_d_submatrix_case2_needs_integer_n():
     with pytest.raises(ValueError):
-        d_submatrix(2, HALF, 2)
-    assert d_submatrix(2, Fraction(4, 2), 2) == d_submatrix(2, 2, 2)
+        staircase_rows(2, HALF, 2)
+    assert staircase_rows(2, Fraction(4, 2), 2) == staircase_rows(2, 2, 2)
+    with pytest.raises(ValueError):
+        staircase_rows(2, 2, 3)
 
 
 def test_bordered_matrix_reduces_to_bottom_right_block():
-    # det A_1 for the staircase equals det D_1(k; n)
-    for n in range(1, 6):
-        for k in range(1, n + 1):
+    # the LGV matrix of (k,...,1,0^(n-k)) is the staircase matrix, entry for
+    # entry: D1(k; n), and D2(k; n) anti-transposed
+    for n in range(11):
+        for k in range(n + 1):
             mu = tuple(range(k, 0, -1)) + (0,) * (n - k)
-            assert (
-                lgv_matrix(mu, 1).determinant()
-                == d_submatrix(k, n, 1).determinant()
-            )
-            assert (
-                lgv_matrix(mu, 2).determinant()
-                == d_submatrix(k, n, 2).determinant()
-            )
+            for case in (1, 2):
+                rows, scales = staircase_rows(k, n, case)
+                assert scales == [1] * k
+                assert lgv_matrix(mu, case).entries == tuple(map(tuple, rows)), (
+                    k, n, case,
+                )
 
 
 def test_two_indexings_same_determinant():
     # the Case 1 matrix in its other indexing, D(2j-i, i+n-k-1) for
-    # 1 <= i,j <= k, is the anti-transpose of d_submatrix(k, n, 1)
+    # 1 <= i,j <= k, is the anti-transpose of D1(k; n); anti-transposing the
+    # int rows keeps their determinant
     for k in range(5):
         for n in [-2, 0, 1, 3, HALF, Fraction(-5, 2)]:
-            m = d_submatrix(k, n, 1)
-            other = Matrix(
-                [
-                    [delannoy_D(2 * j - i, i + n - k - 1) for j in range(1, k + 1)]
-                    for i in range(1, k + 1)
-                ]
-            )
-            assert other == Matrix(
-                [[m.entries[k - 1 - b][k - 1 - a] for b in range(k)] for a in range(k)]
-            )
-            assert m.determinant() == other.determinant()
+            rows, scales = staircase_rows(k, n, 1)
+            other = [
+                [delannoy_D(2 * j - i, i + n - k - 1) for j in range(1, k + 1)]
+                for i in range(1, k + 1)
+            ]
+            flipped = [[rows[k - 1 - b][k - 1 - a] for b in range(k)] for a in range(k)]
+            assert other == [
+                [Fraction(x, scales[k - 1 - b]) for b, x in enumerate(row)]
+                for row in flipped
+            ]
+            assert Matrix(flipped).determinant() == Matrix(rows).determinant()
 
 
 def test_entry_conventions():
     # spot-check the matrix entry layouts against direct evaluation
-    m = d_submatrix(3, Fraction(7, 3), 1)
+    rows, scales = staircase_rows(3, Fraction(7, 3), 1)
     for i in range(3):
         for j in range(3):
-            assert m.entries[i][j] == delannoy_D(3 - 2 * i + j, Fraction(7, 3) - j - 1)
-    m = d_submatrix(3, 4, 2)
-    for i in range(1, 4):
-        for j in range(1, 4):
-            assert m.entries[i - 1][j - 1] == delannoy_H(2 * j - i, i + 4 - 3 - 1)
+            assert Fraction(rows[i][j], scales[i]) == delannoy_D(
+                3 - 2 * i + j, Fraction(7, 3) - j - 1
+            )
+    rows, _ = staircase_rows(3, 4, 2)
+    for i in range(3):
+        for j in range(3):
+            assert rows[i][j] == delannoy_H(3 - 2 * i + j, 4 - j - 1)
 
 
 def test_path_points():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from aztec_triangles import verify
-from aztec_triangles.delannoy import d_submatrix
-from aztec_triangles.exact import Matrix, binomial
+from aztec_triangles.delannoy import staircase_rows
+from aztec_triangles.exact import binomial
 from aztec_triangles.verify import (
     check_degree_and_leading,
     check_detprop,
@@ -13,10 +13,6 @@ from aztec_triangles.verify import (
     check_id1,
     check_id2,
     check_main,
-    check_step1,
-    check_step2,
-    check_step3,
-    check_step4,
     gamma6_irreducible_factor,
     leading_coefficient,
     run_suite,
@@ -28,67 +24,40 @@ from aztec_triangles.verify import (
 HALF = Fraction(1, 2)
 
 
-def test_step1_examples():
-    assert check_step1(2, 0, 0) == {
-        "suite": "step1", "params": {"k": 2, "s": 0, "a": 0}, "pass": True
-    }
-    assert check_step1(4, 1, 0)["pass"]
-    assert check_step1(3, 1, 1)["pass"]
+@pytest.fixture(scope="module")
+def kernels():
+    return suite_kernels(8)
 
 
-def test_step2_examples():
-    assert check_step2(1, 0, 0)["pass"]
-    assert check_step2(3, 1, 0)["pass"]
-    assert check_step2(2, 1, 1)["pass"]
+def passing(step, k, s, a, variant=None):
+    """The record of a kernel step that passes at (k, s, a)."""
+    params = {"k": k, "s": s, "a": a, **({"variant": variant} if variant else {})}
+    return {"suite": step, "params": params, "pass": True}
 
 
-def test_step3_examples():
-    assert d_submatrix(2, -1, 1) == Matrix([[5, -25], [1, -5]])
-    assert check_step3(2, 0, 0)["pass"]
-    assert check_step3(4, 1, 0)["pass"]
-    assert check_step3(4, 2, 1)["pass"]
+def test_step1_examples(kernels):
+    assert passing("step1", 2, 0, 0) in kernels
+    assert passing("step1", 4, 1, 0) in kernels
+    assert passing("step1", 3, 1, 1) in kernels
 
 
-def test_step4_examples():
-    assert check_step4(3, 1, 0, "odd")["pass"]
-    assert check_step4(5, 1, 0, "even")["pass"]
-    assert check_step4(7, 2, 1, "odd")["pass"]
+def test_step2_examples(kernels):
+    assert passing("step2", 1, 0, 0) in kernels
+    assert passing("step2", 3, 1, 0) in kernels
+    assert passing("step2", 2, 1, 1) in kernels
 
 
-def test_step_preconditions():
-    with pytest.raises(ValueError):
-        check_step1(3, 1, 0)  # parity mismatch
-    with pytest.raises(ValueError):
-        check_step2(2, 1, 0)  # parity match where mismatch required
-    with pytest.raises(ValueError):
-        check_step3(3, 2, 0)  # k too small
-    with pytest.raises(ValueError):
-        check_step4(3, 1, 1, "odd")  # needs a < s
-    with pytest.raises(ValueError):
-        check_step4(3, 1, 0, "sideways")
+def test_step3_examples(kernels):
+    assert staircase_rows(2, -1, 1) == ([[5, -25], [1, -5]], [1, 1])
+    assert passing("step3", 2, 0, 0) in kernels
+    assert passing("step3", 4, 1, 0) in kernels
+    assert passing("step3", 4, 2, 1) in kernels
 
 
-def test_grid_matches_preconditions():
-    # a point is on the grid exactly when its check accepts it
-    checks = {
-        ("step1", None): check_step1,
-        ("step2", None): check_step2,
-        ("step3", None): check_step3,
-        ("step4", "odd"): lambda k, s, a: check_step4(k, s, a, "odd"),
-        ("step4", "even"): lambda k, s, a: check_step4(k, s, a, "even"),
-    }
-    grid = set(step_parameter_grid(10))
-    for k in range(-1, 11):
-        for s in range(-1, k + 2):
-            for a in range(-2, s + 2):
-                for (step, variant), check in checks.items():
-                    try:
-                        check(k, s, a)
-                        legal = True
-                    except ValueError:
-                        legal = False
-                    point = (step, k, s, a, variant)
-                    assert (point in grid) == legal, point
+def test_step4_examples(kernels):
+    assert passing("step4", 3, 1, 0, "odd") in kernels
+    assert passing("step4", 5, 1, 0, "even") in kernels
+    assert passing("step4", 7, 2, 1, "odd") in kernels
 
 
 def test_full_legal_grid_small():
@@ -158,11 +127,11 @@ def test_degree_and_leading_detects_wrong_polynomial(monkeypatch, poly, expected
     # k = 2: det D1 is a cubic with top coefficient 8/3; a 1x1 stand-in
     # for D1(2; n), one int row over one scale, makes the determinant any
     # polynomial in n
-    def stand_in(k, n):
+    def stand_in(k, n, case):
         value = Fraction(poly(n))
         return [[value.numerator]], [value.denominator]
 
-    monkeypatch.setattr(verify, "d1_rows", stand_in)
+    monkeypatch.setattr(verify, "staircase_rows", stand_in)
     assert check_degree_and_leading(2) is expected
 
 
@@ -214,21 +183,19 @@ def _step_weights(step, k, s, a, variant):
         ("step4", 5, 1, 0, "even"),
     ],
 )
-def test_failing_residuals_on_int_rows(monkeypatch, step, k, s, a, variant):
+def test_failing_residuals_on_int_rows(step, k, s, a, variant):
     # one entry of D1 off by 1/3 (its row tripled, the entry raised by the
     # row's scale, the scale tripled); the record's residuals must equal
     # the step's combination of the Fraction entries, summed here
     i0, j0 = (0, a) if step in ("step1", "step2") else (a + 1, 0)
-    real = verify.d1_rows
 
     def off_by_a_third(k, n):
-        rows, scales = real(k, n)
+        rows, scales = staircase_rows(k, n, 1)
         rows[i0] = [3 * x for x in rows[i0]]
         rows[i0][j0] += scales[i0]
         scales[i0] *= 3
         return rows, scales
 
-    monkeypatch.setattr(verify, "d1_rows", off_by_a_third)
     n = {
         "step1": s + 1,
         "step2": s + HALF,
@@ -242,7 +209,7 @@ def test_failing_residuals_on_int_rows(monkeypatch, step, k, s, a, variant):
         reference = [sum(w * row[j] for w, j in weights) for row in m]
     else:  # each column over the weighted rows
         reference = [sum(w * m[i][j] for w, i in weights) for j in range(k)]
-    record = getattr(verify, f"check_{step}")(k, s, a, *([variant] if variant else []))
+    record = verify._kernel_step(step, variant, k, s, a, off_by_a_third, verify._coeff)
     assert record["pass"] is False
     assert record["residual"] == [str(r) for r in reference]
     assert any(r.denominator > 1 for r in reference)
@@ -252,8 +219,11 @@ def test_failing_report_carries_residual(monkeypatch):
     # columns 0 and 1 of row 0, [4/3, -1] as [4, -3] over scale 3, sum to
     # 1/3; a kernel step keeps one string per row, an identity one string
     # for its value
-    monkeypatch.setattr(verify, "d1_rows", lambda k, n: ([[4, -3], [1, -1]], [3, 1]))
-    record = check_step1(2, 0, 0)
+    monkeypatch.setattr(
+        verify, "staircase_rows", lambda k, n, case: ([[4, -3], [1, -1]], [3, 1])
+    )
+    record = next(r for r in suite_kernels(2) if r["suite"] == "step1")
+    assert record["params"] == {"k": 2, "s": 0, "a": 0}
     assert record["pass"] is False
     assert record["residual"] == ["1/3", "0"]
     monkeypatch.setattr(verify, "check_id1", lambda k, s: Fraction(-2, 5))
