@@ -20,7 +20,7 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "count_D_paths_bruteforce", "count_H_paths_bruteforce", "delannoy_D",
-            "delannoy_H", "half_shift_expansion", "lgv_matrix",
+            "delannoy_H", "half_shift_expansion", "lgv_determinant", "lgv_matrix",
         ),
         "delannoy",
     ),
@@ -41,8 +41,8 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "Partition", "conjugate", "from_maya", "is_horizontal_strip",
-            "is_vertical_strip", "to_maya",
+            "Partition", "from_maya", "is_horizontal_strip", "is_vertical_strip",
+            "to_maya",
         ),
         "partitions",
     ),
@@ -55,8 +55,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "PartitionSequence", "count_sequences", "enumerate_sequences",
-            "validate_sequence",
+            "PartitionSequence", "enumerate_sequences", "validate_sequence",
         ),
         "sequences",
     ),

@@ -114,7 +114,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    from .sequences import count_sequences
+    from .delannoy import lgv_determinant
 
     mu = parse_partition(args.mu)
     case = args.case
@@ -123,7 +123,7 @@ def _cmd_crosscheck(args) -> int:
         "tableaux": _items("tableau", mu, case).goals,
         "paths": _items("paths", mu, case).goals,
         "tilings": _items("tiling", mu, case).goals,
-        "determinant": count_sequences(mu, case),
+        "determinant": lgv_determinant(mu, case),
     }
     agree = len(set(counts.values())) == 1
     print(json.dumps({"mu": list(mu), "case": case, **counts, "agree": agree}))

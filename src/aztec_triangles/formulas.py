@@ -19,29 +19,22 @@ from .errors import IdentityError
 from .exact import Exact, as_fraction, normalize, pochhammer
 
 
-def _staircase_product(k: int, ell: Exact) -> Fraction:
-    """The chain-count product with 2n replaced by an arbitrary ell."""
-    ell = as_fraction(ell)
-    num = Fraction(1)
-    for i in range((k - 1) // 2 + 1):  # ell + s for s in [-2k+4i+1, -k+2i]
-        num *= pochhammer(ell - 2 * k + 4 * i + 1, k - 2 * i)
-    for i in range((k - 2) // 2 + 1):  # ell + s for s in [k-2i, 2k-4i-2]
-        num *= pochhammer(ell + k - 2 * i, k - 2 * i - 1)
-    den = 1
-    for i in range(1, k):
-        den *= (2 * i + 1) ** (k - i)
-    return num / den
-
-
 def product_case1(k: int, ell: int) -> int:
-    """Number of Case 1 chains for mu = (k,...,1,0^(n-k)) with ell = 2n."""
+    """Number of Case 1 chains for mu = (k,...,1,0^(n-k)) with ell = 2n: an
+    ``int`` product over prod (2i+1)^(k-i), which must divide it."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if ell < 2 * k:
         raise ValueError(f"need ell >= 2k, got ell={ell}, k={k}")
-    value = normalize(_staircase_product(k, ell))
-    if not isinstance(value, int) or value < 0:
-        raise IdentityError(f"case 1 product not a count at k={k}, ell={ell}: {value}")
+    num = 1
+    for i in range((k + 1) // 2):  # ell + s for s in [-2k+4i+1, -k+2i]
+        num *= pochhammer(ell - 2 * k + 4 * i + 1, k - 2 * i)
+    for i in range(k // 2):  # ell + s for s in [k-2i, 2k-4i-2]
+        num *= pochhammer(ell + k - 2 * i, k - 2 * i - 1)
+    den = prod((2 * i + 1) ** (k - i) for i in range(1, k))
+    value, rest = divmod(num, den)
+    if rest or value < 0:
+        raise IdentityError(f"case 1 product not a count at k={k}, ell={ell}: {num}/{den}")
     return value
 
 
@@ -68,21 +61,28 @@ def product_main(k: int, n: Exact) -> Exact:
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     n = as_fraction(n)
+    p, q = n.numerator, n.denominator
+    # n - s - 1 = (p - (s+1)q)/q and n - s - 1/2 = (2p - (2s+1)q)/(2q), and
+    # likewise for the n + k - s - ... factors
     even, odd = 1 - k % 2, k % 2
-    value = leading_coefficient(k)
+    num = den = 1
     for s in range(k - 1):
         e = min((s + 1 + even) // 2, (k - s) // 2)
-        value *= (n - s - 1) ** e
+        num *= (p - (s + 1) * q) ** e
+        den *= q**e
     for s in range(k):
         e = min((s + 1 + odd) // 2, (k - s + 1) // 2)
-        value *= (n - s - Fraction(1, 2)) ** e
+        num *= (2 * p - (2 * s + 1) * q) ** e
+        den *= (2 * q) ** e
     for s in range(k - 1):
         e = min((s + 2) // 2, (k - s - odd) // 2)
-        value *= (n + k - s - 1) ** e
+        num *= (p + (k - s - 1) * q) ** e
+        den *= q**e
     for s in range(1, k - 1):
         e = min((s + 1) // 2, (k - s - even) // 2)
-        value *= (n + k - s - Fraction(1, 2)) ** e
-    return normalize(value)
+        num *= (2 * p + (2 * k - 2 * s - 1) * q) ** e
+        den *= (2 * q) ** e
+    return normalize(leading_coefficient(k) * Fraction(num, den))
 
 
 def df_formula(n: int) -> int:

@@ -48,12 +48,6 @@ def part(p: Partition, i: int) -> int:
     return p[i] if 0 <= i < len(p) else 0
 
 
-def conjugate(p: Partition) -> Partition:
-    """Column lengths of the Young diagram; result has length p[0]."""
-    width = p[0] if p else 0
-    return tuple(sum(1 for q in p if q >= i) for i in range(1, width + 1))
-
-
 def contains(outer: Partition, inner: Partition) -> bool:
     n = max(len(outer), len(inner))
     return all(part(inner, i) <= part(outer, i) for i in range(n))

@@ -151,12 +151,3 @@ def enumerate_sequences(mu: Partition, case: int) -> Found:
     mu = tuple(mu)
     return chain_search(mu, case, lambda i, lam, nu: (nu,), add, ((),),
                         partial(PartitionSequence, case, mu))
-
-
-def count_sequences(mu: Partition, case: int) -> int:
-    """Chain count via the non-intersecting-path determinant."""
-    # Imported here so that enumerating chains, tableaux or tilings does not
-    # load the exact arithmetic only the determinant needs.
-    from .delannoy import lgv_determinant
-
-    return lgv_determinant(mu, case)

@@ -23,12 +23,6 @@ class Entry(NamedTuple):
     def __str__(self):
         return f"{self.value}~" if self.barred else str(self.value)
 
-    @classmethod
-    def parse(cls, text: str) -> "Entry":
-        if text.endswith("~"):
-            return cls(int(text[:-1]), True)
-        return cls(int(text), False)
-
 
 class SuperSymplecticTableau(NamedTuple):
     case: int

@@ -32,7 +32,7 @@ k^2+2k+4r-4r^2-4s-4ks+4s^2 - l^2 at t = 0 and k^2-4r^2-4ks+4s^2 - l^2 at t = 1.
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from .delannoy import (
     count_D_paths_bruteforce, count_H_paths_bruteforce, delannoy_D, delannoy_H,
@@ -345,7 +345,7 @@ def suite_delannoy(limit: int = 20) -> list[dict]:
          lambda i, j: H(i, j) == 1),
         ("H binomial sum, i >= 1", limit, i_from_1,
          lambda i, j: H(i, j) == sum(
-             binomial(i - 1, l - 1) * binomial(j + 1, l) * 2**l
+             comb(i - 1, l - 1) * comb(j + 1, l) * 2**l
              for l in range(1, i + 1)
          )),
         ("H path count", 12, square(0, 12),

@@ -789,7 +789,7 @@ def test_verify_loads_no_dataclasses(argv, module):
 
 def test_package_root_is_lazy_and_complete():
     assert loaded_modules("import sys, aztec_triangles") == set()
-    assert len(aztec_triangles.__all__) == 53
+    assert len(aztec_triangles.__all__) == 52
     namespace = {}
     exec("from aztec_triangles import *", namespace)
     for name in aztec_triangles.__all__:
@@ -797,6 +797,31 @@ def test_package_root_is_lazy_and_complete():
         assert name in dir(aztec_triangles)
     with pytest.raises(AttributeError):
         aztec_triangles.double_factorial
+
+
+# The paper's six bijections and its F(n): public although no module calls them
+PAPER_NAMES = {
+    "sequence_to_tableau", "tableau_to_sequence", "paths_to_tableau",
+    "tableau_to_paths", "sequence_to_tiling", "tiling_to_sequence", "df_formula",
+}
+
+
+def test_public_names_are_run_by_the_package():
+    # every other name in __all__ is loaded, read as an attribute or imported
+    # by some module of the package, so none is a helper only tests call
+    used = set()
+    for path in (SRC / "aztec_triangles").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert PAPER_NAMES <= set(aztec_triangles.__all__)
+    assert set(aztec_triangles.__all__) - PAPER_NAMES - used == set()
 
 
 @pytest.mark.parametrize(

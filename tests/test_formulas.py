@@ -9,7 +9,7 @@ from aztec_triangles.formulas import (
     product_case2,
     product_main,
 )
-from aztec_triangles.sequences import count_sequences
+from aztec_triangles.delannoy import lgv_determinant
 
 
 def staircase(k, n):
@@ -41,14 +41,11 @@ def test_preconditions():
 
 
 def test_case2_is_case1_at_half_shift():
-    from aztec_triangles.formulas import _staircase_product
-
-    for k in range(1, 5):
-        for n in range(k, 9):
-            assert product_case2(k, n) == _staircase_product(k, 2 * n + 1)
-            assert _staircase_product(k, 2 * Fraction(2 * n + 1, 2)) == product_case2(
-                k, n
-            )
+    # the Case 2 count is the Case 1 product at n + 1/2, where the factored
+    # form product_main is an independent formula
+    for k in range(1, 9):
+        for n in range(k, k + 6):
+            assert product_case2(k, n) == product_main(k, n + Fraction(1, 2)), (k, n)
 
 
 def test_products_match_counts():
@@ -58,8 +55,8 @@ def test_products_match_counts():
     shapes += [(k, k) for k in range(9, 61)]
     for k, n in shapes:
         mu = staircase(k, n)
-        assert product_case1(k, 2 * n) == count_sequences(mu, 1), (k, n)
-        assert product_case2(k, n) == count_sequences(mu, 2), (k, n)
+        assert product_case1(k, 2 * n) == lgv_determinant(mu, 1), (k, n)
+        assert product_case2(k, n) == lgv_determinant(mu, 2), (k, n)
 
 
 def test_main_examples():

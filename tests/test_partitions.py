@@ -6,7 +6,6 @@ from aztec_triangles.partitions import (
     HOLE,
     PARTICLE,
     check_partition,
-    conjugate,
     contains,
     from_maya,
     is_horizontal_strip,
@@ -16,6 +15,14 @@ from aztec_triangles.partitions import (
     pad,
     to_maya,
 )
+
+
+def conjugate(p):
+    """Column lengths of the Young diagram, the reference for the strip
+    duality below; the result has length p[0]."""
+    width = p[0] if p else 0
+    return tuple(sum(1 for q in p if q >= i) for i in range(1, width + 1))
+
 
 partitions = st.lists(st.integers(0, 6), max_size=6).map(
     lambda xs: tuple(sorted(xs, reverse=True))
