@@ -38,7 +38,7 @@ from math import comb, factorial
 from operator import mul
 
 from .exact import Exact, Matrix, as_fraction, binomial, normalize
-from .partitions import Partition, check_partition, pad
+from .partitions import Partition, check_partition
 
 
 def delannoy_D(i: int, j: Exact) -> Exact:
@@ -84,7 +84,7 @@ def lgv_matrix(mu: Partition, case: int) -> Matrix:
     """
     if case not in (1, 2):
         raise ValueError(f"case must be 1 or 2, got {case}")
-    mu = pad(check_partition(tuple(mu)), len(mu))
+    mu = check_partition(tuple(mu))
     n, ell = len(mu), len(mu) - mu.count(0)
     count = delannoy_D if case == 1 else delannoy_H
     return Matrix(
@@ -227,7 +227,8 @@ def half_shift_expansion(i: int, j: int) -> Exact:
     D(i, j+1/2) in H values; ``verify.suite_delannoy`` checks the two agree."""
     if i < -1 or j < -1:
         raise ValueError("need i >= -1 and j >= -1")
-    total = Fraction(0)
-    for l in range((i + 1) // 2 + 1):
-        total += (-1) ** l * binomial(Fraction(-1, 2), l) * delannoy_H(i - 2 * l, j)
-    return normalize(total)
+    # (-1)^l C(-1/2,l) = C(2l,l)/4^l: sum in int over the denominator 4^top
+    top = (i + 1) // 2
+    num = sum(comb(2 * l, l) * 4 ** (top - l) * delannoy_H(i - 2 * l, j)
+              for l in range(top + 1))
+    return normalize(Fraction(num, 4**top))

@@ -21,7 +21,6 @@ correspondence produces the partition chain.
 """
 
 from functools import partial
-from operator import add
 from typing import NamedTuple
 
 from .errors import Found, SearchBudget, memo_search
@@ -93,7 +92,6 @@ def build_domain(mu: Partition, case: int) -> Domain:
     if case not in (1, 2):
         raise ValueError(f"case must be 1 or 2, got {case}")
     mu = check_partition(tuple(mu))
-    n = len(mu)
     ell = chain_length(mu, case)
     mu1 = mu[0] if mu else 0
     lengths = tuple(mu1 + (d + 1) // 2 for d in range(ell))
@@ -101,7 +99,7 @@ def build_domain(mu: Partition, case: int) -> Domain:
     for d in range(ell - 1):
         cells.update((d, p) for p in range(lengths[d]))
     if ell > 0:
-        word = to_maya(pad(mu, n), lengths[-1])
+        word = to_maya(mu, lengths[-1])
         keep = HOLE if case == 1 else PARTICLE
         cells.update((ell - 1, p) for p, ch in enumerate(word) if ch == keep)
     return Domain(case, mu, lengths, frozenset(cells))
@@ -149,8 +147,7 @@ def enumerate_tilings(domain: Domain) -> Found:
             (tile, covered | bits) for tile, bits in options[i] if not covered & bits
         ]
 
-    return memo_search(0, successors, add, (), SearchBudget("tiling"),
-                       partial(Tiling, domain))
+    return memo_search(0, successors, (), SearchBudget("tiling"), partial(Tiling, domain))
 
 
 def _mark_cells(tiling: Tiling) -> dict:

@@ -50,16 +50,16 @@ class Found:
 
     ``goals`` is the goal count, an ``int`` of any size.  ``len`` returns
     it too, but stops at ``sys.maxsize``: above that it raises
-    ``OverflowError``.  Iterating builds each item, ``wrap`` of the fold of
-    a goal's payloads, in walk order; ``found[i]``, for an integer i
-    counted from the end when negative, builds item i alone, choosing each
-    step on the way by the goal counts below it."""
+    ``OverflowError``.  Iterating builds each item, ``wrap`` of ``start``
+    followed by a goal's payloads, joined with ``+``, in walk order;
+    ``found[i]``, for an integer i counted from the end when negative,
+    builds item i alone, choosing each step on the way by the goal counts
+    below it."""
 
-    __slots__ = ("start", "fold", "goals", "live", "wrap")
+    __slots__ = ("start", "goals", "live", "wrap")
 
-    def __init__(self, start, fold, goals, live, wrap):
-        self.start, self.fold, self.goals, self.live = start, fold, goals, live
-        self.wrap = wrap
+    def __init__(self, start, goals, live, wrap):
+        self.start, self.goals, self.live, self.wrap = start, goals, live, wrap
 
     def __len__(self):
         return self.goals
@@ -69,14 +69,14 @@ class Found:
         if self.live is None:
             yield wrap(self.start)
             return
-        fold, stack = self.fold, [(self.start, iter(self.live))]
+        stack = [(self.start, iter(self.live))]
         while stack:
             acc, steps = stack[-1]
             for payload, _, below in steps:
                 if below is None:
-                    yield wrap(fold(acc, payload))
+                    yield wrap(acc + payload)
                 else:
-                    stack.append((fold(acc, payload), iter(below)))
+                    stack.append((acc + payload, iter(below)))
                     break
             else:
                 stack.pop()
@@ -90,29 +90,29 @@ class Found:
         while steps is not None:
             for payload, goals, below in steps:
                 if i < goals:
-                    acc, steps = self.fold(acc, payload), below
+                    acc, steps = acc + payload, below
                     break
                 i -= goals
         return self.wrap(acc)
 
 
-def memo_search(root, successors, fold, start, budget: SearchBudget, wrap) -> Found:
-    """The items of the goals below ``root``, each ``wrap`` of the fold from
-    ``start`` of the payloads on the way to it, in the order of the plain
-    depth-first walk.
+def memo_search(root, successors, start, budget: SearchBudget, wrap) -> Found:
+    """The items of the goals below ``root``, each ``wrap`` of ``start``
+    followed by the payloads on the way to it, joined with ``+``, in the
+    order of the plain depth-first walk.
 
     ``successors(state)`` is None at a goal, else the ``(payload, child)``
-    steps in walk order; a state's subtree depends on the state alone.
-    ``fold(acc, payload)`` must be associative.  The walk expands each state
-    once, keeping its subtree's node count, its goal count and its live
-    steps (those with a goal below); a step into a state with one live step
-    merges with it.  It returns a ``Found`` over the root's live steps, and
-    the whole budget charge falls in the walk: one node at a state's first
-    visit and its subtree's count at each repeat, so the budget runs out
-    exactly when the plain walk's would, and at once when a repeated
-    subtree is over the cap.  Counting, iterating and indexing the result
-    charge nothing.  The walk runs on an explicit stack, so a search of any
-    depth runs within the Python stack.
+    steps in walk order; a state's subtree depends on the state alone.  The
+    walk expands each state once, keeping its subtree's node count, its goal
+    count and its live steps (those with a goal below); a step into a state
+    with one live step merges with it, joining the two payloads.  It
+    returns a ``Found`` over the root's live steps, and the whole budget
+    charge falls in the walk: one node at a state's first visit and its
+    subtree's count at each repeat, so the budget runs out exactly when the
+    plain walk's would, and at once when a repeated subtree is over the
+    cap.  Counting, iterating and indexing the result charge nothing.  The
+    walk runs on an explicit stack, so a search of any depth runs within
+    the Python stack.
     """
     memo = {}  # state -> (subtree nodes, goals below, live steps or None at a goal)
 
@@ -129,7 +129,7 @@ def memo_search(root, successors, fold, start, budget: SearchBudget, wrap) -> Fo
                 live.append((payload, below_goals, below))
             elif below:  # one live step below: jump over the child
                 (more, _, below), = below
-                live.append((fold(payload, more), below_goals, below))
+                live.append((payload + more, below_goals, below))
         memo[state] = entry = (size, goals, live)
         return entry
 
@@ -146,4 +146,4 @@ def memo_search(root, successors, fold, start, budget: SearchBudget, wrap) -> Fo
             stack.append(expand(child))
         else:
             budget.spend(entry[0])
-    return Found(start, fold, *entry[1:], wrap)  # the root's goal count and live steps
+    return Found(start, *entry[1:], wrap)  # the root's goal count and live steps

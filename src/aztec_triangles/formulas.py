@@ -90,13 +90,12 @@ def df_formula(n: int) -> int:
     F(n) = 2^(n(n-1)/2) prod (4i+2)!/(n+2i+1)!; checked against G(n)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    value = Fraction(2) ** (n * (n - 1) // 2)
-    for i in range(n):
-        value *= Fraction(factorial(4 * i + 2), factorial(n + 2 * i + 1))
-    value = normalize(value)
+    num = 2 ** (n * (n - 1) // 2) * prod(factorial(4 * i + 2) for i in range(n))
+    den = prod(factorial(n + 2 * i + 1) for i in range(n))
+    value, rest = divmod(num, den)
     other = g_formula(n)
-    if value != other:
-        raise IdentityError(f"F({n}) = {value} but G({n}) = {other}")
+    if rest or value != other:
+        raise IdentityError(f"F({n}) = {num}/{den} but G({n}) = {other}")
     return value
 
 

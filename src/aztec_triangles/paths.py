@@ -17,12 +17,11 @@ tableaux it draws on; ``lgv_matrix`` is bound here as well.
 """
 
 from functools import partial
-from operator import add
 from typing import NamedTuple
 
 from .delannoy import lgv_matrix  # noqa: F401
 from .errors import Found, SearchBudget, memo_search
-from .partitions import Partition, check_partition, pad
+from .partitions import Partition, check_partition
 from .tableaux import Entry, SuperSymplecticTableau, validate_tableau
 
 _MOVES = {"N": (0, 1), "D": (1, 1), "E": (1, 0)}
@@ -88,11 +87,11 @@ def is_vertex_disjoint(family: PathFamily) -> bool:
 def validate_family(family: PathFamily) -> bool:
     if family.case not in (1, 2):
         return False
-    mu = pad(family.mu, family.n)
     if len(family.paths) != family.n:
         return False
     for j, path in enumerate(family.paths, start=1):
-        if path.start != start_point(j) or path.end != end_point(mu, family.case, j):
+        end = end_point(family.mu, family.case, j)
+        if path.start != start_point(j) or path.end != end:
             return False
         if family.case == 2 and path.steps.endswith("E"):
             return False
@@ -142,7 +141,7 @@ def paths_to_tableau(f: PathFamily) -> SuperSymplecticTableau:
             else:
                 y += 1
         rows.append(tuple(row))
-    shape = pad(f.mu, f.n)
+    shape = tuple(f.mu)
     if tuple(len(r) for r in rows) != shape:
         raise ValueError("family does not match its partition")
     t = SuperSymplecticTableau(f.case, shape, tuple(rows))
@@ -172,7 +171,7 @@ def _single_paths(start, end, ban_final_east, budget):
             steps.append(("N", (dx, dy - 1)))
         return steps
 
-    return memo_search((dx0, dy0), successors, add, "", budget, str)
+    return memo_search((dx0, dy0), successors, "", budget, str)
 
 
 def enumerate_path_families(mu: Partition, case: int) -> Found:
@@ -185,12 +184,11 @@ def enumerate_path_families(mu: Partition, case: int) -> Found:
     mu = check_partition(tuple(mu))
     n = len(mu)
     budget = SearchBudget("path")
-    mu_full = pad(mu, n)
     # each candidate path and its points, built once for the whole search
     candidates = []
     for j in range(1, n + 1):
         start = start_point(j)
-        words = _single_paths(start, end_point(mu_full, case, j), case == 2, budget)
+        words = _single_paths(start, end_point(mu, case, j), case == 2, budget)
         paths_j = [LatticePath(start, steps) for steps in words]
         candidates.append([((path,), frozenset(path.points())) for path in paths_j])
 
@@ -203,5 +201,5 @@ def enumerate_path_families(mu: Partition, case: int) -> Found:
         return [(payload, (j + 1, pts)) for payload, pts in candidates[j - 1]
                 if before.isdisjoint(pts)]
 
-    return memo_search((1, frozenset()), successors, add, (), budget,
+    return memo_search((1, frozenset()), successors, (), budget,
                        partial(PathFamily, case, mu))

@@ -8,7 +8,6 @@ parts.
 
 import json
 from functools import cache, partial
-from operator import add
 from typing import NamedTuple
 
 from .errors import Found, SearchBudget, memo_search
@@ -18,7 +17,6 @@ from .partitions import (
     is_partition,
     is_vertical_strip,
     normalize,
-    pad,
     part,
 )
 
@@ -108,46 +106,44 @@ def _strip_extensions(lam, bound, max_parts, vertical):
     return [normalize(nu) for nu in found]
 
 
-def chain_search(mu, case, step, fold, start, wrap) -> Found:
+def chain_search(mu, case, step, start, wrap) -> Found:
     """The one chain search: a depth-first walk over the chains ending at
     mu, in lexicographic order, charging one budget node per chain prefix.
 
     The steps lam -> nu at chain index i depend only on (i, lam), so the
     walk runs on ``memo_search`` with that state: each step and its payload
     ``step(i, lam, nu)`` is computed once, and a repeated state is charged
-    its subtree's nodes in the plain walk.  Each chain's payloads are
-    folded, ``fold(state, payload)`` from ``start``, and the returned
-    ``Found`` builds ``wrap`` of each fold in the plain walk's order.
-    ``mu`` is a tuple.
+    its subtree's nodes in the plain walk.  The returned ``Found`` builds,
+    in the plain walk's order, ``wrap`` of ``start`` followed by each
+    chain's payloads, joined with ``+``.  ``mu`` is a tuple.
     """
     if not is_partition(mu):
         raise ValueError(f"not a partition: {mu}")
     ell = chain_length(mu, case)
     target = normalize(mu)
-    bound = pad(target, len(mu))
     budget = SearchBudget("chain")
     if ell == 0:  # mu = () in case 1: the empty chain, and no rows
-        return Found((), fold, 1, None, wrap)
+        return Found((), 1, None, wrap)
 
     def successors(state):
         i, lam = state
         if i == ell:
             return None
-        options = _strip_extensions(lam, bound, (i + 1) // 2, i % 2 == 0)
+        options = _strip_extensions(lam, mu, (i + 1) // 2, i % 2 == 0)
         if i == ell - 1:
             options = [nu for nu in options if nu == target]
         return [(step(i, lam, nu), (i + 1, nu)) for nu in options]
 
-    return memo_search((1, ()), successors, fold, start, budget, wrap)
+    return memo_search((1, ()), successors, start, budget, wrap)
 
 
 def enumerate_sequences(mu: Partition, case: int) -> Found:
     """The chains ending at mu, in lexicographic order: the search's
     ``Found``, which builds a sequence only when one is read.
 
-    In the chain search, the payload of a step to nu is ``(nu,)`` and the
-    state is the chain so far.
+    In the chain search, the payload of a step to nu is ``(nu,)``, so a
+    chain is ``((),)`` followed by its steps' partitions.
     """
     mu = tuple(mu)
-    return chain_search(mu, case, lambda i, lam, nu: (nu,), add, ((),),
+    return chain_search(mu, case, lambda i, lam, nu: (nu,), ((),),
                         partial(PartitionSequence, case, mu))

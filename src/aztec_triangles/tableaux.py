@@ -8,11 +8,10 @@ and no value smaller than its row index may appear (rows 1-based).
 
 from bisect import bisect_right
 from functools import partial
-from operator import add
 from typing import NamedTuple
 
 from .errors import Found
-from .partitions import Partition, is_partition, normalize, pad, part
+from .partitions import Partition, is_partition, normalize, part
 from .sequences import PartitionSequence, chain_length, chain_search, validate_sequence
 
 
@@ -85,25 +84,25 @@ def _entry_for_chain_index(m: int) -> Entry:
 
 
 def _cells(n, m, lam, nu):
-    """The cells that chain step m from lam to nu adds to each of n rows:
-    nu_r - lam_r of them, all holding the step's entry."""
+    """The one-step payload of chain step m from lam to nu: a 1-tuple
+    holding the cells it adds to each of n rows, nu_r - lam_r of them, all
+    holding the step's entry."""
     entry = _entry_for_chain_index(m)
-    return tuple((entry,) * (part(nu, r) - part(lam, r)) for r in range(n))
+    return (tuple((entry,) * (part(nu, r) - part(lam, r)) for r in range(n)),)
 
 
-def _grow(rows, new):
-    return tuple(map(add, rows, new))
+def _fill(case, shape, steps):
+    """The tableau whose row r is row r of each step's cells, in order."""
+    return SuperSymplecticTableau(case, shape, tuple(sum(row, ()) for row in zip(*steps)))
 
 
 def sequence_to_tableau(seq: PartitionSequence) -> SuperSymplecticTableau:
     """Fill the cells added at chain step m with the step's entry."""
     if not validate_sequence(seq):
         raise ValueError("invalid partition sequence")
-    n = seq.n
-    rows = ((),) * n
-    for m in range(1, seq.ell):
-        rows = _grow(rows, _cells(n, m, seq.chain[m - 1], seq.chain[m]))
-    return SuperSymplecticTableau(seq.case, pad(seq.mu, n), rows)
+    steps = sum((_cells(seq.n, m, seq.chain[m - 1], seq.chain[m])
+                 for m in range(1, seq.ell)), ())
+    return _fill(seq.case, tuple(seq.mu), steps)
 
 
 def tableau_to_sequence(t: SuperSymplecticTableau) -> PartitionSequence:
@@ -127,9 +126,9 @@ def enumerate_tableaux(mu: Partition, case: int) -> Found:
     ``Found``, which builds a tableau only when one is read.
 
     The chain search builds them itself, so no chain is kept or validated
-    again: the payload of a step is the cells it adds, ``_cells``, and the
-    state is the tuple of rows.
+    again: the payload of a step is the cells it adds, ``_cells``, and a
+    tableau is ``_fill`` of its steps' cells.
     """
     mu = tuple(mu)
-    return chain_search(mu, case, partial(_cells, len(mu)), _grow, ((),) * len(mu),
-                        partial(SuperSymplecticTableau, case, mu))
+    return chain_search(mu, case, partial(_cells, len(mu)), (),
+                        partial(_fill, case, mu))

@@ -680,7 +680,7 @@ def test_goal_counts_above_maxsize(capsys, monkeypatch, argv, code, out, err):
     from aztec_triangles.errors import Found
 
     monkeypatch.setattr(cli, "_items", lambda model, mu, case: Found(
-        None, None, 2**64, None, None))
+        None, 2**64, None, None))
     assert run_cli(capsys, *argv) == (code, out, err)
 
 
