@@ -8,11 +8,10 @@ the combinatorial definition (0 for j < 0 except H(0,-1) = 1), while for
 j <= -2 it continues H as a polynomial, which the determinant relation
 between the two matrix families needs.
 
-An integer second argument keeps D and H in ``int`` arithmetic throughout
-(the ``int`` path of ``exact.binomial``).  A non-integral rational j = p/q
-sums in ``int`` arithmetic too, over one common denominator, and builds a
-single ``Fraction`` at the end.  Every count the CLI prints takes the
-``int`` path.
+``delannoy_D`` reads its second argument as j = p/q in lowest terms, an
+``int`` as q = 1, and has one formula for both: an ``int`` numerator over
+one common denominator, with a single ``Fraction`` at the end that
+``normalize`` turns back into an ``int`` at an integer j.
 
 ``lgv_matrix`` and ``staircase_rows`` assemble the LGV and staircase
 matrices, and ``lgv_determinant`` counts by the LGV matrix.  They live
@@ -37,32 +36,31 @@ from itertools import accumulate
 from math import comb, factorial
 from operator import mul
 
-from .exact import Exact, Matrix, as_fraction, binomial, normalize
+from .exact import Exact, Matrix, as_fraction, normalize
 from .partitions import Partition, check_partition
 
 
 def delannoy_D(i: int, j: Exact) -> Exact:
     """Sum over l of C(i,l) C(j,l) 2^l; counts N/NE/E paths to (i,j) when
-    i, j are non-negative integers.  Returns 0 for i < 0."""
-    if type(j) is not int:
-        j = normalize(as_fraction(j))
+    i, j are non-negative integers.  Returns 0 for i < 0.
+
+    With j = p/q in lowest terms (an ``int`` j has q = 1), C(j,l) =
+    prod_{m<l} (p - m q) / (q^l l!), so the sum to ``top`` is one ``int``
+    numerator over q^top top!, whose term l is
+    C(i,l) 2^l prod_{m<l} (p - m q) q^(top-l) top!/l!.  The sum runs to
+    top = min(i, j) when j is a non-negative integer, since C(j,l) = 0 past
+    j, and to top = i otherwise."""
+    j = as_fraction(j)
     if i < 0:
         return 0
-    if isinstance(j, int):
-        # an int j keeps every term, and so the sum, an int; C(j,l) = 0 for
-        # l > j >= 0
-        top = min(i, j) if j >= 0 else i
-        return sum(comb(i, l) * binomial(j, l) << l for l in range(top + 1))
-    # C(p/q, l) = prod_{m<l} (p - m q) / (q^l l!), so over the common
-    # denominator q^i i! the term l has numerator
-    # C(i,l) 2^l prod_{m<l} (p - m q) q^(i-l) i!/l!
     p, q = j.numerator, j.denominator
-    num, falling, tail = 0, 1, factorial(i)  # tail = i!/l!
-    for l in range(i + 1):
-        num += (comb(i, l) * falling * q ** (i - l) * tail) << l
+    top = min(i, p) if q == 1 and p >= 0 else i
+    num, falling, tail = 0, 1, factorial(top)  # tail = top!/l!
+    for l in range(top + 1):
+        num += (comb(i, l) * falling * q ** (top - l) * tail) << l
         falling *= p - l * q
         tail //= l + 1
-    return normalize(Fraction(num, q**i * factorial(i)))
+    return normalize(Fraction(num, q**top * factorial(top)))
 
 
 def delannoy_H(i: int, j: int) -> int:
@@ -167,8 +165,7 @@ def _delannoy_table(k: int, n: Exact) -> tuple[list[list[int]], list[int]]:
     agree at every integer y >= 1, where D counts lattice paths; so each is
     a polynomial identity and holds at every rational y.
     """
-    if type(n) is not int:
-        n = normalize(as_fraction(n))
+    n = as_fraction(n)
     p, q, size = n.numerator, n.denominator, 2 * k
     f = [1] * size if q == 1 else [a * q for a in range(size)]
     c = list(accumulate(f[1:], mul, initial=1))

@@ -5,10 +5,9 @@ Every value is an ``int`` or a ``fractions.Fraction``; nothing here ever
 rounds.  Results with denominator 1 are normalized back to ``int`` so that
 counts print and compare as plain integers.
 
-``binomial`` has an ``int`` path, taken for an integer ``x``, which never
-builds a ``Fraction``; a ``Fraction`` x, even one with denominator 1, takes
-the ``Fraction`` path, with the same value.  ``pochhammer`` needs no second
-path: for an ``int`` x its product stays in ``int`` arithmetic.
+``binomial`` reads its argument as x = p/q in lowest terms, an ``int`` as
+q = 1, and has one formula: an ``int`` product over q^l l!.  ``pochhammer``
+is one product too: for an ``int`` x it stays in ``int`` arithmetic.
 ``Matrix.determinant`` takes ``int`` entries only and eliminates in ``int``
 arithmetic.  A caller with rational entries scales each row to integers
 itself (``delannoy.staircase_rows`` builds its rows that way) and divides
@@ -16,7 +15,7 @@ the determinant by the product of the scales.
 """
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import factorial, prod
 
 Exact = int | Fraction
 
@@ -38,20 +37,14 @@ def as_fraction(x: Exact) -> Fraction:
 def binomial(x: Exact, l: int) -> Exact:
     """Extended binomial coefficient x(x-1)...(x-l+1)/l!, and 0 for l < 0.
 
-    ``x`` may be any rational.  An ``int`` x takes the ``int`` path:
-    ``math.comb(x, l)`` for x >= 0 and (-1)^l C(l-x-1, l) for x < 0 (upper
-    negation).  Otherwise the falling product is evaluated in ``Fraction``.
+    ``x`` may be any rational p/q in lowest terms (an ``int`` x has q = 1):
+    the value is the ``int`` product prod_{m<l} (p - m q) over q^l l!.
     """
     if l < 0:
         return 0
-    if isinstance(x, int):
-        return comb(x, l) if x >= 0 else (-1) ** l * comb(l - x - 1, l)
-    if not isinstance(x, Fraction):
-        as_fraction(x)  # raises: a float is not exact
-    num = Fraction(1)
-    for m in range(l):
-        num *= x - m
-    return normalize(num / factorial(l))
+    x = as_fraction(x)
+    p, q = x.numerator, x.denominator
+    return normalize(Fraction(prod(p - m * q for m in range(l)), q**l * factorial(l)))
 
 
 def pochhammer(x: Exact, i: int) -> Exact:

@@ -106,11 +106,11 @@ def _kernel_step(step: str, variant, k: int, s: int, a: int, d1, coeff) -> dict:
         # over rows s+1-a..k-1; the two share row s+1-a
         (rows, scales), tail = d1(k, -k + s + 1), 2 ** (2 * s + 2 - 4 * a)
         weights = [
-            ((-1) ** (i - a) * binomial(s + 1 - 2 * a, i - a), i)
+            ((-1) ** (i - a) * comb(s + 1 - 2 * a, i - a), i)
             for i in range(a, s + 2 - a)
         ]
         weights += [
-            (-tail * binomial(i - a - 1, s - 2 * a), i) for i in range(s + 1 - a, k)
+            (-tail * comb(i - a - 1, s - 2 * a), i) for i in range(s + 1 - a, k)
         ]
     else:
         t = int(variant == "even")
@@ -118,7 +118,7 @@ def _kernel_step(step: str, variant, k: int, s: int, a: int, d1, coeff) -> dict:
         weights = [(coeff(s - a, i - a, t), i) for i in range(a, k)]
         params["variant"] = variant
     if step in ("step1", "step2"):  # each row over columns a..a+top
-        cols = [(binomial(top, j - a), j) for j in range(a, a + top + 1)]
+        cols = [(comb(top, j - a), j) for j in range(a, a + top + 1)]
         sums = [sum(w * row[j] for w, j in cols) for row in rows]
     else:
         # each column over the weighted rows: the weights w_i / scales[i]

@@ -1,7 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aztec_triangles.cli import main
 from aztec_triangles.delannoy import (
     count_D_paths_bruteforce,
     count_H_paths_bruteforce,
@@ -115,6 +119,35 @@ def test_extended_recurrence():
                 + delannoy_D(i - 1, j - 1)
                 + delannoy_D(i, j - 1)
             )
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=25),
+    st.fractions(min_value=-40, max_value=40, max_denominator=60),
+)
+def test_recurrence_at_random_rationals(i, j):
+    assert delannoy_D(0, j) == 1
+    assert delannoy_D(i, j) == (
+        delannoy_D(i - 1, j) + delannoy_D(i - 1, j - 1) + delannoy_D(i, j - 1)
+    )
+
+
+def test_huge_part_is_instant(capsys):
+    # the sum stops at min(i, j) for a non-negative integer j, so a first
+    # argument of 10^20 costs no more than its second
+    m = 10**20
+    for j, closed_form in enumerate((1, 2 * m + 1, 2 * m * m + 2 * m + 1)):
+        assert delannoy_D(m, j) == closed_form
+    # (M, 5), M = 10^20 - 1, counts det [[D(M,1), D(M+1,0)], [D(4,1), D(5,0)]]
+    # = (2M + 1) - 9
+    huge = "99999999999999999999"
+    for mu, case, printed in [(huge, 1, 1), (huge, 2, 2),
+                              (huge + ",5", 1, 199999999999999999990)]:
+        start = time.perf_counter()
+        code = main(["count", "--mu", mu, "--case", str(case)])
+        assert time.perf_counter() - start < 1
+        assert (code, capsys.readouterr().out) == (0, f"{printed}\n")
 
 
 def test_half_integer_base_case():
