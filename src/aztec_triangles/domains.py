@@ -47,10 +47,6 @@ class Domain(NamedTuple):
     cells: frozenset
 
     @property
-    def n(self) -> int:
-        return len(self.mu)
-
-    @property
     def num_diagonals(self) -> int:
         return len(self.lengths)
 
@@ -89,8 +85,6 @@ class Tiling(NamedTuple):
 
 def build_domain(mu: Partition, case: int) -> Domain:
     """Construct the type 1 or type 2 domain for mu of declared length n."""
-    if case not in (1, 2):
-        raise ValueError(f"case must be 1 or 2, got {case}")
     mu = check_partition(tuple(mu))
     ell = chain_length(mu, case)
     mu1 = mu[0] if mu else 0

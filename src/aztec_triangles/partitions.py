@@ -48,25 +48,18 @@ def part(p: Partition, i: int) -> int:
     return p[i] if 0 <= i < len(p) else 0
 
 
-def contains(outer: Partition, inner: Partition) -> bool:
-    n = max(len(outer), len(inner))
-    return all(part(inner, i) <= part(outer, i) for i in range(n))
-
-
 def is_horizontal_strip(outer: Partition, inner: Partition) -> bool:
-    """outer/inner has at most one box per column."""
-    if not contains(outer, inner):
-        return False
+    """outer/inner has at most one box per column: the parts interlace,
+    outer_i >= inner_i >= outer_(i+1)."""
     n = max(len(outer), len(inner))
-    return all(part(outer, i + 1) <= part(inner, i) for i in range(n))
+    return all(part(outer, i) >= part(inner, i) >= part(outer, i + 1)
+               for i in range(n))
 
 
 def is_vertical_strip(outer: Partition, inner: Partition) -> bool:
-    """outer/inner has at most one box per row."""
-    if not contains(outer, inner):
-        return False
+    """outer/inner has at most one box per row: 0 <= outer_i - inner_i <= 1."""
     n = max(len(outer), len(inner))
-    return all(part(outer, i) - part(inner, i) <= 1 for i in range(n))
+    return all(0 <= part(outer, i) - part(inner, i) <= 1 for i in range(n))
 
 
 def to_maya(p: Partition, window_length: int) -> str:

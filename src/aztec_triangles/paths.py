@@ -100,7 +100,8 @@ def validate_family(family: PathFamily) -> bool:
 
 def tableau_to_paths(t: SuperSymplecticTableau) -> PathFamily:
     """Row j's unbarred i becomes an east step on y = i, barred i a
-    northeast step leaving y = i; north steps fill the gaps."""
+    northeast step leaving y = i; north steps fill the gaps.  In a valid
+    tableau each entry is at least the height its path has reached."""
     if not validate_tableau(t):
         raise ValueError("invalid tableau")
     n = t.n
@@ -110,8 +111,6 @@ def tableau_to_paths(t: SuperSymplecticTableau) -> PathFamily:
         y = j
         steps = []
         for e in t.rows[j - 1]:
-            if e.value < y:
-                raise ValueError("entries incompatible with path heights")
             steps.append("N" * (e.value - y))
             y = e.value
             if e.barred:
@@ -125,7 +124,8 @@ def tableau_to_paths(t: SuperSymplecticTableau) -> PathFamily:
 
 
 def paths_to_tableau(f: PathFamily) -> SuperSymplecticTableau:
-    """Read row j's entries off the east and northeast steps of path j."""
+    """Read row j's entries off the east and northeast steps of path j:
+    mu_j of them, since path j ends mu_j columns east of its start."""
     if not validate_family(f):
         raise ValueError("invalid path family")
     rows = []
@@ -141,10 +141,7 @@ def paths_to_tableau(f: PathFamily) -> SuperSymplecticTableau:
             else:
                 y += 1
         rows.append(tuple(row))
-    shape = tuple(f.mu)
-    if tuple(len(r) for r in rows) != shape:
-        raise ValueError("family does not match its partition")
-    t = SuperSymplecticTableau(f.case, shape, tuple(rows))
+    t = SuperSymplecticTableau(f.case, tuple(f.mu), tuple(rows))
     if not validate_tableau(t):
         raise ValueError("family does not decode to a valid tableau")
     return t

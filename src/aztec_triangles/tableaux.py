@@ -2,8 +2,10 @@
 
 Entries are ordered 1 < 1bar < 2 < 2bar < ...; type 1 fillings stop at the
 unbarred n, type 2 at nbar, where n is the declared length of the shape.
-Unbarred values must form horizontal strips, barred values vertical strips,
-and no value smaller than its row index may appear (rows 1-based).
+Rows and columns weakly increase; an entry may equal its left neighbour
+only when unbarred and the one above only when barred, so unbarred values
+form horizontal strips and barred values vertical strips.  No value smaller
+than its row index may appear (rows 1-based).
 """
 
 from bisect import bisect_right
@@ -45,6 +47,10 @@ class SuperSymplecticTableau(NamedTuple):
 
 
 def validate_tableau(t: SuperSymplecticTableau) -> bool:
+    """Check the case and the shape, then each entry e at 0-based row r and
+    column c: r + 1 <= e.value and e <= ``max_entry``; the entry to the left
+    is < e, or == e with e unbarred; the entry above is < e, or == e with e
+    barred."""
     if t.case not in (1, 2):
         return False
     if not is_partition(t.shape):
@@ -56,25 +62,13 @@ def validate_tableau(t: SuperSymplecticTableau) -> bool:
     top = t.max_entry()
     for r, row in enumerate(t.rows):
         for c, e in enumerate(row):
-            if e.value < 1 or e > top:
+            if e.value < r + 1 or e > top:
                 return False
-            # symplectic condition: value >= its 1-based row index
-            if e.value < r + 1:
+            if c > 0 and (e < row[c - 1] or (e == row[c - 1] and e.barred)):
                 return False
-            if c > 0 and e < row[c - 1]:
+            if r > 0 and (e < above[c] or (e == above[c] and not e.barred)):
                 return False
-            if r > 0 and c < len(t.rows[r - 1]) and e < t.rows[r - 1][c]:
-                return False
-    # horizontal strips for unbarred values: at most one per column
-    for r, row in enumerate(t.rows[1:], start=1):
-        for c, e in enumerate(row):
-            if not e.barred and c < len(t.rows[r - 1]) and t.rows[r - 1][c] == e:
-                return False
-    # vertical strips for barred values: at most one per row
-    for row in t.rows:
-        for a, b in zip(row, row[1:]):
-            if a.barred and a == b:
-                return False
+        above = row
     return True
 
 

@@ -204,15 +204,11 @@ def check_id2(k: int, s: int) -> Exact:
 
 def check_detprop(k: int, n: int) -> bool:
     """det D1(k; n+1/2) = det D2(k; n)."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
     return _staircase_det(k, n + _HALF, 1) == _staircase_det(k, n, 2)
 
 
 def check_main(k: int, n: Exact) -> bool:
     """det D1(k; n) equals the factored product, exactly."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
     return _staircase_det(k, n, 1) == product_main(k, n)
 
 

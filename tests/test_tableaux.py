@@ -1,7 +1,10 @@
+from itertools import combinations_with_replacement, product
+
 import pytest
 
 from conftest import small_partitions
 
+from aztec_triangles.delannoy import lgv_determinant
 from aztec_triangles.errors import CapExceeded
 from aztec_triangles.sequences import PartitionSequence, enumerate_sequences
 from aztec_triangles.tableaux import (
@@ -87,6 +90,20 @@ def test_round_trip_exhaustive():
                 t = sequence_to_tableau(seq)
                 assert validate_tableau(t)
                 assert tableau_to_sequence(t) == seq
+
+
+def test_rule_count_matches_determinant():
+    # every filling with weakly increasing rows of admissible entries, kept
+    # when validate_tableau accepts it: no chain is involved
+    for mu in small_partitions(3, 3):
+        for case in (1, 2):
+            top = SuperSymplecticTableau(case, mu, ()).max_entry()
+            entries = [e for v in range(1, top.value + 1)
+                       for e in (Entry(v, False), Entry(v, True)) if e <= top]
+            rows = [combinations_with_replacement(entries, width) for width in mu]
+            valid = sum(validate_tableau(SuperSymplecticTableau(case, mu, filling))
+                        for filling in product(*rows))
+            assert valid == lgv_determinant(mu, case), (mu, case)
 
 
 def test_enumerate_examples():

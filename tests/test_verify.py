@@ -92,6 +92,8 @@ def test_detprop():
     for k in range(5):
         for n in range(-3, 7):
             assert check_detprop(k, n), (k, n)
+    with pytest.raises(ValueError, match="^need k >= 0, got -1$"):
+        check_detprop(-1, 0)
 
 
 def test_main_instances():
@@ -101,6 +103,8 @@ def test_main_instances():
     for k in range(4):
         for n in [-2, 0, 3, HALF, Fraction(11, 2), Fraction(-3, 2)]:
             assert check_main(k, n), (k, n)
+    with pytest.raises(ValueError, match="^need k >= 0, got -1$"):
+        check_main(-1, 0)
 
 
 def test_degree_and_leading():
