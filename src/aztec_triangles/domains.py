@@ -14,10 +14,13 @@ mu's hole/particle word: holes are cells of the Case 1 domain, particles
 cells of the Case 2 domain.
 
 A domino always starts (north or west cell) on some diagonal d and covers
-(d, p) plus (d+1, p) when vertical or (d+1, p+1) when horizontal.  Dominoes
-starting on even diagonals are "even" and get filled with holes, odd ones
-with particles; reading each diagonal's hole/particle word through the Maya
-correspondence produces the partition chain.
+(d, p) plus (d+1, p) when vertical or (d+1, p+1) when horizontal; it is
+"even" or "odd" with d.  A square carries its diagonal's mark (holes on even
+diagonals, particles on odd ones) unless it is the second cell of a domino,
+which carries the mark of the diagonal before.  Off-domain squares of the
+final diagonal are no domino's cell, so they need no case of their own.
+Reading each diagonal's hole/particle word through the Maya correspondence
+produces the partition chain.
 """
 
 from functools import partial
@@ -100,7 +103,9 @@ def build_domain(mu: Partition, case: int) -> Domain:
 
 
 def validate_tiling(tiling: Tiling) -> bool:
-    """Dominoes are mutually disjoint and cover the domain exactly."""
+    """Dominoes are V or H, mutually disjoint, and cover the domain exactly."""
+    if any(domino.orient not in (VERTICAL, HORIZONTAL) for domino in tiling.dominoes):
+        return False
     covered = [cell for domino in tiling.dominoes for cell in domino.cells()]
     return len(covered) == len(set(covered)) and set(covered) == set(
         tiling.domain.cells
@@ -144,40 +149,25 @@ def enumerate_tilings(domain: Domain) -> Found:
     return memo_search(0, successors, (), SearchBudget("tiling"), partial(Tiling, domain))
 
 
-def _mark_cells(tiling: Tiling) -> dict:
-    """Hole/particle mark for every physical cell, by start-diagonal parity."""
-    marks = {}
-    for domino in tiling.dominoes:
-        fill = HOLE if domino.even else PARTICLE
-        for cell in domino.cells():
-            marks[cell] = fill
-    return marks
-
-
-def _diagonal_word(domain: Domain, marks: dict, d: int) -> str:
-    # Off-domain squares of the final diagonal count as virtual domino
-    # starts, so they carry that diagonal's own parity.
-    virtual = HOLE if (domain.num_diagonals - 1) % 2 == 0 else PARTICLE
-    chars = []
-    for p in range(domain.lengths[d]):
-        if (d, p) in domain.cells:
-            chars.append(marks[(d, p)])
-        else:
-            chars.append(virtual)
-    return "".join(chars)
+def _diagonal_words(tiling: Tiling) -> list[str]:
+    """Each diagonal's hole/particle word: square (d, p) carries diagonal
+    d's mark unless it is the second cell of a domino, which carries the
+    mark of diagonal d - 1.  An off-domain square of the final diagonal is
+    no domino's cell, so it carries its own diagonal's mark, as a start does."""
+    seconds = {domino.cells()[1] for domino in tiling.dominoes}
+    marks = (HOLE, PARTICLE)
+    return [
+        "".join(marks[(d - ((d, p) in seconds)) % 2] for p in range(length))
+        for d, length in enumerate(tiling.domain.lengths)
+    ]
 
 
 def tiling_to_sequence(tiling: Tiling) -> PartitionSequence:
     """Decode diagonal d's hole/particle word into the d-th chain entry."""
     if not validate_tiling(tiling):
         raise ValueError("invalid tiling")
-    domain = tiling.domain
-    marks = _mark_cells(tiling)
-    chain = tuple(
-        normalize(from_maya(_diagonal_word(domain, marks, d)))
-        for d in range(domain.num_diagonals)
-    )
-    return PartitionSequence(domain.case, domain.mu, chain)
+    chain = tuple(normalize(from_maya(w)) for w in _diagonal_words(tiling))
+    return PartitionSequence(tiling.domain.case, tiling.domain.mu, chain)
 
 
 def sequence_to_tiling(seq: PartitionSequence) -> Tiling:
@@ -185,7 +175,9 @@ def sequence_to_tiling(seq: PartitionSequence) -> Tiling:
 
     On each even diagonal the holes are domino starts and advance by 0
     (vertical) or 1 (horizontal) position into the next diagonal; on odd
-    diagonals the particles do.
+    diagonals the particles do.  The window sizes give both diagonals as
+    many moving marks, and the interlacing that ``validate_sequence`` checks
+    makes every advance 0 or 1.
     """
     if not validate_sequence(seq):
         raise ValueError("invalid partition sequence")
@@ -200,11 +192,7 @@ def sequence_to_tiling(seq: PartitionSequence) -> Tiling:
         moving = HOLE if d % 2 == 0 else PARTICLE
         sources = [p for p, ch in enumerate(words[d]) if ch == moving]
         targets = [p for p, ch in enumerate(words[d + 1]) if ch == moving]
-        if len(sources) != len(targets):
-            raise ValueError("chain does not define a tiling")
         for a, b in zip(sources, targets):
-            if b - a not in (0, 1):
-                raise ValueError("chain does not define a tiling")
             dominoes.append(Domino(d, a, VERTICAL if b == a else HORIZONTAL))
     return Tiling(domain, tuple(sorted(dominoes)))
 

@@ -115,18 +115,24 @@ def test_tiling_validation():
         tiling_to_sequence(Tiling(dom, good.dominoes[:-1]))
 
 
+def test_tiling_rejects_unknown_orientation():
+    # Domino.cells() reads any orientation but "H" as vertical
+    odd = Tiling(build_domain((1,), 1), (Domino(0, 0, "Q"),))
+    assert not validate_tiling(odd)
+    with pytest.raises(ValueError, match="^invalid tiling$"):
+        tiling_to_sequence(odd)
+
+
 def test_diagonal_hole_particle_counts():
     # each diagonal carries ceil(i/2) particles; with the window padded by
     # virtual holes to n + ceil(i/2) cells it carries n holes
-    from aztec_triangles.domains import _diagonal_word, _mark_cells
+    from aztec_triangles.domains import _diagonal_words
 
     for mu, case in [((2, 1), 1), ((3, 2, 1), 1), ((2, 1, 0), 2)]:
         n = len(mu)
         dom = build_domain(mu, case)
         for tiling in enumerate_tilings(dom):
-            marks = _mark_cells(tiling)
-            for d in range(dom.num_diagonals):
-                word = _diagonal_word(dom, marks, d)
+            for d, word in enumerate(_diagonal_words(tiling)):
                 word += HOLE * (n - mu[0])
                 assert word.count(PARTICLE) == (d + 1) // 2
                 assert word.count(HOLE) == n

@@ -46,11 +46,12 @@ def test_empty_tableau_validates():
 
 
 def test_symplectic_violation():
-    # a 1 in row 4 sits below the 1st row, violating the symplectic bound
+    # row 4's 3~ exceeds the 3 above it and is admissible in type 1, so only
+    # the symplectic bound (row r needs entries >= r) rejects it
     bad = SuperSymplecticTableau(
         1,
         (5, 3, 2, 1),
-        rows_of(("1", "1", "1~", "3", "3~"), ("2", "2~", "3"), ("3", "3"), ("1",)),
+        rows_of(("1", "1", "1~", "3", "3~"), ("2", "2~", "3"), ("3", "3"), ("3~",)),
     )
     assert not validate_tableau(bad)
 
@@ -59,8 +60,8 @@ def test_strip_violations():
     # two equal unbarred entries stacked in a column
     bad = SuperSymplecticTableau(1, (1, 1), rows_of(("2",), ("2",)))
     assert not validate_tableau(bad)
-    # two equal barred entries in a row
-    bad = SuperSymplecticTableau(1, (2,), rows_of(("1~", "1~")))
+    # two equal barred entries in a row (1~ itself is admissible in type 2)
+    bad = SuperSymplecticTableau(2, (2,), rows_of(("1~", "1~")))
     assert not validate_tableau(bad)
     # type bound: a barred n needs type 2
     over = SuperSymplecticTableau(1, (1,), rows_of(("1~",)))
