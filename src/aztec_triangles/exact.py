@@ -5,9 +5,9 @@ Every value is an ``int`` or a ``fractions.Fraction``; nothing here ever
 rounds.  Results with denominator 1 are normalized back to ``int`` so that
 counts print and compare as plain integers.
 
-``binomial`` reads its argument as x = p/q in lowest terms, an ``int`` as
-q = 1, and has one formula: an ``int`` product over q^l l!.  ``pochhammer``
-is one product too: for an ``int`` x it stays in ``int`` arithmetic.
+``binomial`` and ``pochhammer`` read their argument as x = p/q in lowest
+terms, an ``int`` as q = 1, and each has one formula: an ``int`` product over
+q^l l! and over q^i respectively.
 ``Matrix.determinant`` takes ``int`` entries only and eliminates in ``int``
 arithmetic.  A caller with rational entries scales each row to integers
 itself (``delannoy.staircase_rows`` builds its rows that way) and divides
@@ -50,13 +50,17 @@ def binomial(x: Exact, l: int) -> Exact:
 def pochhammer(x: Exact, i: int) -> Exact:
     """Shifted (rising) factorial (x)_i = x(x+1)...(x+i-1), with (x)_0 = 1.
 
-    An ``int`` x stays in ``int`` arithmetic and never builds a ``Fraction``.
+    ``x`` is read as p/q in lowest terms, as ``binomial`` reads it: the value
+    is the ``int`` product prod_{a<i} (p + a q) over q^i.  Each factor is
+    prime to q, so the quotient is an ``int`` exactly when q^i = 1.
     """
     if i < 0:
         raise ValueError(f"pochhammer index must be non-negative, got {i}")
     if not isinstance(x, (int, Fraction)):
         as_fraction(x)  # raises: a float is not exact
-    return normalize(prod(x + a for a in range(i)))
+    p, q = x.numerator, x.denominator
+    num, den = prod(range(p, p + i * q, q)), q**i
+    return num if den == 1 else Fraction(num, den)
 
 
 class Matrix:

@@ -73,7 +73,8 @@ def validate_tableau(t: SuperSymplecticTableau) -> bool:
 
 
 def _entry_for_chain_index(m: int) -> Entry:
-    # chain step m >= 1 adds entries i = ceil(m/2), barred when m is even
+    # chain step m >= 1 adds entries i = ceil(m/2), barred when m is even;
+    # m = 0 gives 0 barred, below every admissible entry, so chain entry 0 is ()
     return Entry((m + 1) // 2, m % 2 == 0)
 
 
@@ -103,15 +104,10 @@ def tableau_to_sequence(t: SuperSymplecticTableau) -> PartitionSequence:
     """Recover chain entry m as the cells holding entries <= the step entry."""
     if not validate_tableau(t):
         raise ValueError("invalid tableau")
-    ell = chain_length(t.shape, t.case)
     chain = []
-    for m in range(ell):
-        if m == 0:
-            chain.append(())
-            continue
+    for m in range(chain_length(t.shape, t.case)):
         top = _entry_for_chain_index(m)
-        lam = tuple(bisect_right(row, top) for row in t.rows)
-        chain.append(normalize(lam))
+        chain.append(normalize(tuple(bisect_right(row, top) for row in t.rows)))
     return PartitionSequence(t.case, t.shape, tuple(chain))
 
 

@@ -49,11 +49,6 @@ def _poch_signed(x: Exact, n: int) -> Fraction:
     return Fraction(pochhammer(x, n)) if n >= 0 else 1 / Fraction(pochhammer(x + n, -n))
 
 
-def _inv_factorial(m: int) -> Fraction:
-    """1/m!, taken to vanish at negative integers."""
-    return Fraction(1, factorial(m)) if m >= 0 else Fraction(0)
-
-
 def _record(suite, params, passed, residual=None) -> dict:
     """One verify record, the schema of every suite:
     ``{"suite", "params", "pass"[, "residual"]}``.
@@ -147,18 +142,26 @@ def _head(s: int, l: int, t: int) -> Fraction:
     )
 
 
+def _front(s: int, r: int, t: int) -> Fraction:
+    """The factor 2^(4r-3+2t) (2r-1/2+t)_(s-r) / (s-r)! of term r, 1 <= r <= s,
+    of the sum over r in c1/c2 (t = 0/1) and in id1/id2."""
+    return Fraction(
+        2 ** (4 * r - 3 + 2 * t) * pochhammer(2 * r - _HALF + t, s - r),
+        factorial(s - r),
+    )
+
+
 def _coeff(s: int, l: int, t: int) -> Fraction:
-    """Step 4's row weight c1(s, l) (t = 0) or c2(s, l) (t = 1)."""
-    tail = Fraction(0)
-    for r in range(1, s + 1):
-        x = 2 * r - _HALF + t
-        tail += (
-            Fraction(2) ** (4 * r - 3 + 2 * t)
-            * _poch_signed(x, s - r)
-            * _poch_signed(x, l - s - r - t)
-            * _inv_factorial(l - s - r + 1 - t)
-            / factorial(s - r)
-        )
+    """Step 4's row weight c1(s, l) (t = 0) or c2(s, l) (t = 1).
+
+    Term r of its sum carries 1/(l-s-r+1-t)!, which vanishes once
+    r > l-s+1-t, so r runs to min(s, l-s+1-t)."""
+    tail = sum(
+        _front(s, r, t)
+        * _poch_signed(2 * r - _HALF + t, l - s - r - t)
+        / factorial(l - s - r + 1 - t)
+        for r in range(1, min(s, l - s + 1 - t) + 1)
+    )
     return (-1) ** (1 - t) * _head(s, l, t) - (4 * l - 4 * s + 1 - 2 * t) * tail
 
 
@@ -166,27 +169,17 @@ def _double_sum(k: int, s: int, t: int) -> Exact:
     """id1 (t = 0) or id2 (t = 1)."""
     if not (s >= 1 and k >= 4 * s - 1 + 2 * t):
         raise ValueError(f"illegal id{1 + t} parameters {(k, s)}")
-    # the first sum is sum_i head(s, i, t) D(k-2i, x); D(a, x) = 0 for a < 0
     x = -k + 2 * s - Fraction(3, 2) + t
-    total = sum(_head(s, i, t) * delannoy_D(k - 2 * i, x) for i in range(k))
+    total = sum(_head(s, i, t) * delannoy_D(k - 2 * i, x) for i in range(k // 2 + 1))
     for r in range(1, s + 1):
-        front = (
-            Fraction((-1) ** (k - t))
-            * Fraction(2) ** (4 * r - 3 + 2 * t)
-            * _poch_signed(2 * r - _HALF + t, s - r)
-            / factorial(s - r)
-        )
-        # l runs to p; the terms carry (p-1)!/(p-l)! and (q-1)!/(q-l)!
+        # 1 <= p < q, and (p-1)!(q-1)!/(l!^2 (p-l)!(q-l)!) = C(p,l) C(q,l)/(pq)
         p, q = k - 2 * r - 2 * s + 2 - 2 * t, k + 2 * r - 2 * s
-        for l in range(p + 1):
-            total += (
-                front
-                * Fraction(2) ** (p + 1 - l)
-                * factorial(p - 1)
-                * factorial(q - 1)
-                / (factorial(l) ** 2 * factorial(p - l) * factorial(q - l))
-                * ((k - 2 * s + 1 - t) ** 2 - (2 * r - 1 + t) ** 2 - l**2)
-            )
+        c = (k - 2 * s + 1 - t) ** 2 - (2 * r - 1 + t) ** 2
+        inner = sum(
+            2 ** (p + 1 - l) * comb(p, l) * comb(q, l) * (c - l**2)
+            for l in range(p + 1)
+        )
+        total += (-1) ** (k - t) * _front(s, r, t) * Fraction(inner, p * q)
     return normalize(total)
 
 

@@ -72,6 +72,15 @@ def test_pochhammer_recurrence():
             assert type(pochhammer(x, i)) is int
             assert pochhammer(x, i) == pochhammer(Fraction(x), i)
             assert pochhammer(x, i + 1) == pochhammer(x, i) * (x + i)
+    # x = p/q with q = 3 and 7 and p of either sign against the Fraction
+    # product; an integral x written as a Fraction returns an int
+    for q in (1, 2, 3, 7):
+        for num in range(-15, 16):
+            x = Fraction(num, q)
+            for i in range(0, 8):
+                value = pochhammer(x, i)
+                assert value == prod(x + a for a in range(i)), (x, i)
+                assert (type(value) is int) == (x.denominator == 1 or i == 0)
 
 
 def test_pochhammer_rejects_negative_index():

@@ -46,6 +46,31 @@ def test_empty_family():
     assert paths_to_tableau(empty).rows == ()
 
 
+def test_family_violations():
+    # each family breaks one rule and satisfies every other
+    # mu = (1, 1): path 1 runs (-1,1) -> (0,2) and path 2 (-2,2) -> (-1,2)
+    ok = PathFamily(1, (1, 1), (LatticePath((-1, 1), "EN"), LatticePath((-2, 2), "E")))
+    assert validate_family(ok)
+    # path 1's north step reaches (-1,2), where path 2 ends
+    meet = ok._replace(paths=(LatticePath((-1, 1), "NE"), ok.paths[1]))
+    assert not is_vertex_disjoint(meet)
+    assert not validate_family(meet)
+    with pytest.raises(ValueError):
+        paths_to_tableau(meet)
+    # a case that is neither 1 nor 2; this path ends where case 1 puts it
+    assert not validate_family(PathFamily(3, (1,), (LatticePath((-1, 1), "E"),)))
+    # one path fewer than parts
+    assert not validate_family(PathFamily(1, (1,), ()))
+    # a wrong end, then a wrong start
+    assert not validate_family(PathFamily(1, (1,), (LatticePath((-1, 1), "N"),)))
+    assert not validate_family(PathFamily(1, (1,), (LatticePath((0, 1), ""),)))
+    # a Case 2 path ending in an east step; "EN" reaches the same end
+    assert not validate_family(PathFamily(2, (1,), (LatticePath((-1, 1), "NE"),)))
+    assert validate_family(PathFamily(2, (1,), (LatticePath((-1, 1), "EN"),)))
+    with pytest.raises(ValueError):
+        tableau_to_paths(FIG_TABLEAU._replace(case=3))
+
+
 def test_round_trip_exhaustive():
     for mu, case in [((2, 1), 1), ((1, 0), 2), ((2, 2), 1)]:
         for seq in enumerate_sequences(mu, case):

@@ -69,6 +69,20 @@ def test_strip_violations():
     assert validate_tableau(SuperSymplecticTableau(2, (1,), rows_of(("1~",))))
 
 
+def test_shape_violations():
+    # each tableau breaks one shape rule and satisfies every entry rule
+    ok = SuperSymplecticTableau(1, (2,), rows_of(("1", "1")))
+    assert validate_tableau(ok)
+    assert not validate_tableau(ok._replace(case=3))
+    # a row narrower than its part of the shape
+    assert not validate_tableau(ok._replace(rows=rows_of(("1",))))
+    # fewer rows than parts: (2, 0) allows entries up to 2
+    assert not validate_tableau(ok._replace(shape=(2, 0)))
+    # a shape that is not a partition: row 2 is longer than row 1
+    bad = SuperSymplecticTableau(1, (1, 2), rows_of(("1",), ("2", "2")))
+    assert not validate_tableau(bad)
+
+
 def test_figure_bijection():
     seq = PartitionSequence(1, (5, 3, 2, 1), CHAIN_5321)
     assert sequence_to_tableau(seq) == FIG_TABLEAU
