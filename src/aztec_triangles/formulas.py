@@ -33,7 +33,7 @@ def product_case1(k: int, ell: int) -> int:
         num *= pochhammer(ell + k - 2 * i, k - 2 * i - 1)
     den = prod((2 * i + 1) ** (k - i) for i in range(1, k))
     value, rest = divmod(num, den)
-    if rest or value < 0:
+    if rest:
         raise IdentityError(f"case 1 product not a count at k={k}, ell={ell}: {num}/{den}")
     return value
 
@@ -41,8 +41,6 @@ def product_case1(k: int, ell: int) -> int:
 def product_case2(k: int, n: int) -> int:
     """Number of Case 2 chains for mu = (k,...,1,0^(n-k)): the Case 1
     product at ell = 2n + 1, i.e. with n replaced by n + 1/2."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     if n < k:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
     return product_case1(k, 2 * n + 1)
@@ -102,6 +100,4 @@ def df_formula(n: int) -> int:
 def g_formula(n: int) -> int:
     """G(n): the Case 1 staircase product at k = n, ell = 2n, mu = (n,...,1),
     whose factor ranges become (4i+1)_(n-2i) and (3n-2i)_(n-2i-1)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     return product_case1(n, 2 * n)

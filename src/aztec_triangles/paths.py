@@ -90,6 +90,8 @@ def validate_family(family: PathFamily) -> bool:
     if len(family.paths) != family.n:
         return False
     for j, path in enumerate(family.paths, start=1):
+        if not set(path.steps) <= _MOVES.keys():
+            return False
         end = end_point(family.mu, family.case, j)
         if path.start != start_point(j) or path.end != end:
             return False
@@ -125,7 +127,9 @@ def tableau_to_paths(t: SuperSymplecticTableau) -> PathFamily:
 
 def paths_to_tableau(f: PathFamily) -> SuperSymplecticTableau:
     """Read row j's entries off the east and northeast steps of path j:
-    mu_j of them, since path j ends mu_j columns east of its start."""
+    mu_j of them, since path j ends mu_j columns east of its start.  The
+    endpoints, disjointness and the Case 2 rule that ``validate_family``
+    checks make the rows a valid tableau."""
     if not validate_family(f):
         raise ValueError("invalid path family")
     rows = []
@@ -141,10 +145,7 @@ def paths_to_tableau(f: PathFamily) -> SuperSymplecticTableau:
             else:
                 y += 1
         rows.append(tuple(row))
-    t = SuperSymplecticTableau(f.case, tuple(f.mu), tuple(rows))
-    if not validate_tableau(t):
-        raise ValueError("family does not decode to a valid tableau")
-    return t
+    return SuperSymplecticTableau(f.case, tuple(f.mu), tuple(rows))
 
 
 def _single_paths(start, end, ban_final_east, budget):

@@ -68,10 +68,10 @@ def chain_length(mu: Partition, case: int) -> int:
 
 
 def validate_sequence(seq: PartitionSequence) -> bool:
-    """Check all five chain conditions for the declared case."""
+    """Check all five chain conditions for the declared case.  A mu that is
+    not a partition fails them: ``normalize`` keeps its fault, and the last
+    entry, which must match it, must be a partition."""
     if seq.case not in (1, 2):
-        return False
-    if not is_partition(seq.mu):
         return False
     chain = seq.chain
     if len(chain) != chain_length(seq.mu, seq.case):

@@ -16,6 +16,7 @@ from conftest import small_partitions
 import aztec_triangles
 from aztec_triangles import cli, verify
 from aztec_triangles.cli import main, parse_partition
+from aztec_triangles.errors import IdentityError
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +84,20 @@ def test_count_product_rejects_general_mu(capsys):
     )
     assert code == 2
     assert "product" in err
+
+
+def test_product_that_is_no_count_exits_1(capsys, monkeypatch):
+    # every shifted factorial 2: the Case 1 product at k = 3 is 2^3/45
+    from aztec_triangles import formulas
+
+    monkeypatch.setattr(formulas, "pochhammer", lambda x, i: 2)
+    with pytest.raises(IdentityError, match="not a count at k=3, ell=6: 8/45"):
+        formulas.product_case1(3, 6)
+    code, out, err = run_cli(
+        capsys, "count", "--mu", "3,2,1", "--case", "1", "--method", "product"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: case 1 product not a count at k=3, ell=6: 8/45\n"
 
 
 def test_enumerate_stream(capsys):

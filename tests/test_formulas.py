@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from aztec_triangles import formulas
+from aztec_triangles.errors import IdentityError
 from aztec_triangles.formulas import (
     df_formula,
     g_formula,
@@ -38,6 +40,17 @@ def test_preconditions():
         product_main(-1, 2)
     with pytest.raises(ValueError):
         df_formula(0)
+    # product_case2 and g_formula leave k >= 1 to product_case1
+    with pytest.raises(ValueError, match="need k >= 1, got 0"):
+        product_case2(0, 0)
+    with pytest.raises(ValueError, match="need k >= 1, got 0"):
+        g_formula(0)
+
+
+def test_df_formula_checks_g(monkeypatch):
+    monkeypatch.setattr(formulas, "g_formula", lambda n: 5)
+    with pytest.raises(IdentityError, match="but G\\(2\\) = 5"):
+        df_formula(2)
 
 
 def test_case2_is_case1_at_half_shift():

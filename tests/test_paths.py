@@ -67,6 +67,12 @@ def test_family_violations():
     # a Case 2 path ending in an east step; "EN" reaches the same end
     assert not validate_family(PathFamily(2, (1,), (LatticePath((-1, 1), "NE"),)))
     assert validate_family(PathFamily(2, (1,), (LatticePath((-1, 1), "EN"),)))
+    # a step that is none of N, D and E, before or after a valid one
+    for steps in ("X", "EX"):
+        odd = PathFamily(1, (1,), (LatticePath((-1, 1), steps),))
+        assert not validate_family(odd)
+        with pytest.raises(ValueError, match="invalid path family"):
+            paths_to_tableau(odd)
     with pytest.raises(ValueError):
         tableau_to_paths(FIG_TABLEAU._replace(case=3))
 
@@ -116,6 +122,8 @@ def test_lgv_examples():
     assert lgv_matrix((2, 1), 1).determinant() == 4
     assert lgv_matrix((), 1).determinant() == 1
     assert lgv_matrix((), 2).determinant() == 1
+    with pytest.raises(ValueError, match="case must be 1 or 2, got 3"):
+        lgv_matrix((1,), 3)
 
 
 def test_lgv_agreement_grid():

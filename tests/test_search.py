@@ -237,6 +237,12 @@ def test_enumerators_reject_a_bad_case(model, case):
         ENUMERATORS[model]((2, 1), case)
 
 
+@pytest.mark.parametrize("model", sorted(ENUMERATORS))
+def test_enumerators_reject_a_non_partition(model):
+    with pytest.raises(ValueError, match=r"^not a partition: \(1, 2\)$"):
+        ENUMERATORS[model]((1, 2), 1)
+
+
 # One valid object of each model class, its fields in order, and its repr.
 VALUES = [
     (domains.build_domain((1,), 1), ("case", "mu", "lengths", "cells"),

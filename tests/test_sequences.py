@@ -54,6 +54,16 @@ def test_other_invalid_chains():
         PartitionSequence(1, (3, 1), ((), (1,), (3,), (3, 1)))
     )
     assert not validate_sequence(PartitionSequence(3, (1,), ((), (1,))))
+    # a mu that is no partition: each chain ends at mu itself, or would be
+    # valid for the partition mu's parts sort to
+    for mu, chain in [
+        ((1, 2), ((), (1,), (1,), (1, 2))),
+        ((1, 2), ((), (1,), (2,), (2, 1))),
+        ((0, 1), ((), (), (), (0, 1))),
+        ((1, -1), ((), (1,), (1,), (1, -1))),
+        ((-1,), ((), (-1,))),
+    ]:
+        assert not validate_sequence(PartitionSequence(1, mu, chain)), mu
 
 
 def test_enumeration_counts():
