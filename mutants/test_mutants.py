@@ -39,6 +39,15 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant("no-op", PKG + "exact.py", "class Matrix:", "class Matrix:", "tests/test_exact.py"),
+    # exact arithmetic
+    Mutant("pochhammer-negative-shift", PKG + "exact.py",
+           "prod(range(p + i * q, p, q))", "prod(range(p + (i + 1) * q, p + q, q))",
+           "tests/test_exact.py"),
+    Mutant("binomial-start-minus-1", PKG + "exact.py",
+           "pochhammer(x - l + 1, l)", "pochhammer(x - l, l)", "tests/test_exact.py"),
+    Mutant("pq-drops-denominator", PKG + "exact.py",
+           "return x.numerator, x.denominator", "return x.numerator, 1",
+           "tests/test_exact.py"),
     # the path and tableau validators
     Mutant("disjoint-never-false", PKG + "paths.py",
            "                return False\n            seen.add(pt)",

@@ -10,8 +10,8 @@ between the two matrix families needs.
 
 ``delannoy_D`` reads its second argument as j = p/q in lowest terms, an
 ``int`` as q = 1, and has one formula for both: an ``int`` numerator over
-one common denominator, with a single ``Fraction`` at the end that
-``normalize`` turns back into an ``int`` at an integer j.
+one common denominator, divided with ``//`` at an integer j and finished
+as a ``Fraction`` otherwise.
 
 ``lgv_matrix`` and ``staircase_rows`` assemble the LGV and staircase
 matrices, and ``lgv_determinant`` counts by the LGV matrix.  They live
@@ -36,7 +36,7 @@ from itertools import accumulate
 from math import comb, factorial
 from operator import mul
 
-from .exact import Exact, Matrix, as_fraction, normalize
+from .exact import Exact, Matrix, normalize, pq
 from .partitions import Partition, check_partition
 
 
@@ -49,18 +49,19 @@ def delannoy_D(i: int, j: Exact) -> Exact:
     numerator over q^top top!, whose term l is
     C(i,l) 2^l prod_{m<l} (p - m q) q^(top-l) top!/l!.  The sum runs to
     top = min(i, j) when j is a non-negative integer, since C(j,l) = 0 past
-    j, and to top = i otherwise."""
-    j = as_fraction(j)
+    j, and to top = i otherwise.  At an integer j the quotient is D(i, j),
+    an integer, so it is taken with ``//`` and no ``Fraction`` is built."""
+    p, q = pq(j)
     if i < 0:
         return 0
-    p, q = j.numerator, j.denominator
     top = min(i, p) if q == 1 and p >= 0 else i
     num, falling, tail = 0, 1, factorial(top)  # tail = top!/l!
     for l in range(top + 1):
         num += (comb(i, l) * falling * q ** (top - l) * tail) << l
         falling *= p - l * q
         tail //= l + 1
-    return normalize(Fraction(num, q**top * factorial(top)))
+    den = q**top * factorial(top)
+    return num // den if q == 1 else normalize(Fraction(num, den))
 
 
 def delannoy_H(i: int, j: int) -> int:
@@ -165,8 +166,7 @@ def _delannoy_table(k: int, n: Exact) -> tuple[list[list[int]], list[int]]:
     agree at every integer y >= 1, where D counts lattice paths; so each is
     a polynomial identity and holds at every rational y.
     """
-    n = as_fraction(n)
-    p, q, size = n.numerator, n.denominator, 2 * k
+    (p, q), size = pq(n), 2 * k
     f = [1] * size if q == 1 else [a * q for a in range(size)]
     c = list(accumulate(f[1:], mul, initial=1))
     column = [1]

@@ -5,9 +5,10 @@ Every value is an ``int`` or a ``fractions.Fraction``; nothing here ever
 rounds.  Results with denominator 1 are normalized back to ``int`` so that
 counts print and compare as plain integers.
 
-``binomial`` and ``pochhammer`` read their argument as x = p/q in lowest
-terms, an ``int`` as q = 1, and each has one formula: an ``int`` product over
-q^l l! and over q^i respectively.
+``pq`` is the one reader of an exact argument: it gives x = p/q in lowest
+terms, an ``int`` as q = 1, and refuses a float.  ``pochhammer`` takes every
+integer index: an ``int`` product over q^i, or q^m over an ``int`` product
+at i = -m < 0.  ``binomial`` is a ``pochhammer`` over l!.
 ``Matrix.determinant`` takes ``int`` entries only and eliminates in ``int``
 arithmetic.  A caller with rational entries scales each row to integers
 itself (``delannoy.staircase_rows`` builds its rows that way) and divides
@@ -27,40 +28,37 @@ def normalize(x: Exact) -> Exact:
     return x
 
 
-def as_fraction(x: Exact) -> Fraction:
-    """Coerce to Fraction, refusing floats (exactness would be lost)."""
+def pq(x: Exact) -> tuple[int, int]:
+    """Read x as p/q in lowest terms with q > 0 (an ``int`` has q = 1),
+    refusing floats (exactness would be lost)."""
     if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+        return x.numerator, x.denominator
     raise TypeError(f"exact rational required, got {type(x).__name__}")
 
 
 def binomial(x: Exact, l: int) -> Exact:
-    """Extended binomial coefficient x(x-1)...(x-l+1)/l!, and 0 for l < 0.
-
-    ``x`` may be any rational p/q in lowest terms (an ``int`` x has q = 1):
-    the value is the ``int`` product prod_{m<l} (p - m q) over q^l l!.
-    """
+    """Extended binomial coefficient x(x-1)...(x-l+1)/l! = (x-l+1)_l / l!,
+    and 0 for l < 0; ``x`` may be any rational."""
     if l < 0:
         return 0
-    x = as_fraction(x)
-    p, q = x.numerator, x.denominator
-    return normalize(Fraction(prod(p - m * q for m in range(l)), q**l * factorial(l)))
+    return normalize(Fraction(pochhammer(x - l + 1, l), factorial(l)))
 
 
 def pochhammer(x: Exact, i: int) -> Exact:
-    """Shifted (rising) factorial (x)_i = x(x+1)...(x+i-1), with (x)_0 = 1.
+    """Shifted (rising) factorial (x)_i = x(x+1)...(x+i-1), with (x)_0 = 1,
+    at every integer i: (x)_(-m) = 1/(x-m)_m.
 
-    ``x`` is read as p/q in lowest terms, as ``binomial`` reads it: the value
-    is the ``int`` product prod_{a<i} (p + a q) over q^i.  Each factor is
-    prime to q, so the quotient is an ``int`` exactly when q^i = 1.
+    With x = p/q in lowest terms the value is the ``int`` product
+    prod_{0<=a<i} (p + a q) over q^i, and for i = -m < 0 it is q^m over
+    prod_{-m<=a<0} (p + a q), where a zero factor is a pole and raises
+    ``ZeroDivisionError``.  An integral value is returned as an ``int``.
     """
-    if i < 0:
-        raise ValueError(f"pochhammer index must be non-negative, got {i}")
-    if not isinstance(x, (int, Fraction)):
-        as_fraction(x)  # raises: a float is not exact
-    p, q = x.numerator, x.denominator
-    num, den = prod(range(p, p + i * q, q)), q**i
-    return num if den == 1 else Fraction(num, den)
+    p, q = pq(x)
+    if i >= 0:
+        num, den = prod(range(p, p + i * q, q)), q**i
+    else:
+        num, den = q**-i, prod(range(p + i * q, p, q))
+    return num if den == 1 else normalize(Fraction(num, den))
 
 
 class Matrix:

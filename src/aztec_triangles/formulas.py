@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .errors import IdentityError
-from .exact import Exact, as_fraction, normalize, pochhammer
+from .exact import Exact, normalize, pochhammer, pq
 
 
 def product_case1(k: int, ell: int) -> int:
@@ -58,8 +58,7 @@ def product_main(k: int, n: Exact) -> Exact:
     k(k+1)/2 with leading coefficient ``leading_coefficient(k)``."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    n = as_fraction(n)
-    p, q = n.numerator, n.denominator
+    p, q = pq(n)
     # n - s - 1 = (p - (s+1)q)/q and n - s - 1/2 = (2p - (2s+1)q)/(2q), and
     # likewise for the n + k - s - ... factors
     even, odd = 1 - k % 2, k % 2

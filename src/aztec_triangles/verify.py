@@ -44,11 +44,6 @@ from .formulas import leading_coefficient, product_main
 _HALF = Fraction(1, 2)
 
 
-def _poch_signed(x: Exact, n: int) -> Fraction:
-    """Shifted factorial extended to negative index by (x)_(-m) = 1/(x-m)_m."""
-    return Fraction(pochhammer(x, n)) if n >= 0 else 1 / Fraction(pochhammer(x + n, -n))
-
-
 def _record(suite, params, passed, residual=None) -> dict:
     """One verify record, the schema of every suite:
     ``{"suite", "params", "pass"[, "residual"]}``.
@@ -136,8 +131,8 @@ def _head(s: int, l: int, t: int) -> Fraction:
     return (
         Fraction((4 * l - 4 * s + 1 - 2 * t) * (-1) ** (s - 1))
         * pochhammer(1 - l, s - 1)
-        * _poch_signed(_HALF, s + t)
-        * _poch_signed(_HALF, l - s - t)
+        * pochhammer(_HALF, s + t)
+        * pochhammer(_HALF, l - s - t)
         / ((2 * l - 4 * s + 1 - 2 * t) * factorial(l) * factorial(s - 1))
     )
 
@@ -158,7 +153,7 @@ def _coeff(s: int, l: int, t: int) -> Fraction:
     r > l-s+1-t, so r runs to min(s, l-s+1-t)."""
     tail = sum(
         _front(s, r, t)
-        * _poch_signed(2 * r - _HALF + t, l - s - r - t)
+        * pochhammer(2 * r - _HALF + t, l - s - r - t)
         / factorial(l - s - r + 1 - t)
         for r in range(1, min(s, l - s + 1 - t) + 1)
     )

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,17 @@ def test_delannoy_D_matches_reference_sum():
                 )
                 assert value == reference, (i, j)
                 assert type(value) is (int if reference.denominator == 1 else Fraction)
+
+
+def test_delannoy_D_int_finish():
+    # at an integer j the quotient is taken with //, and is an int; at j < 0
+    # math.comb cannot give C(j, l), so binomial does
+    for j in range(-6, 26):
+        binomials_j = [binomial(j, l) << l for l in range(26)]
+        for i in range(26):
+            value = delannoy_D(i, j)
+            assert type(value) is int, (i, j)
+            assert value == sum(comb(i, l) * binomials_j[l] for l in range(i + 1)), (i, j)
 
 
 def test_delannoy_H_examples():

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from aztec_triangles.exact import (
     Matrix,
-    as_fraction,
     binomial,
     normalize,
     pochhammer,
+    pq,
 )
 
 
@@ -83,8 +83,19 @@ def test_pochhammer_recurrence():
                 assert (type(value) is int) == (x.denominator == 1 or i == 0)
 
 
-def test_pochhammer_rejects_negative_index():
-    with pytest.raises(ValueError):
+def test_pochhammer_negative_index():
+    # (x)_(-m) (x-m)_m = 1 away from the poles, where some x - a, 1 <= a <= m,
+    # is 0; the value is an int exactly when it is integral
+    for q in (1, 2, 3, 7):
+        for num in range(-15, 16):
+            x = Fraction(num, q)
+            for m in range(1, 8):
+                if any(x == a for a in range(1, m + 1)):
+                    continue
+                value = pochhammer(x, -m)
+                assert value * prod(x - m + a for a in range(m)) == 1, (x, m)
+                assert (type(value) is int) == (Fraction(value).denominator == 1)
+    with pytest.raises(ZeroDivisionError):
         pochhammer(1, -1)
 
 
@@ -105,9 +116,9 @@ def test_normalize():
 
 def test_floats_are_rejected():
     with pytest.raises(TypeError):
-        as_fraction(0.5)
-    assert as_fraction(Fraction(1, 2)) == Fraction(1, 2)
-    assert as_fraction(3) == Fraction(3)
+        pq(0.5)
+    assert pq(Fraction(1, 2)) == (1, 2)
+    assert pq(3) == (3, 1)
     from aztec_triangles.delannoy import delannoy_D
 
     for j in (0.5, 2.0):
