@@ -48,6 +48,10 @@ MUTANTS = [
     Mutant("pq-drops-denominator", PKG + "exact.py",
            "return x.numerator, x.denominator", "return x.numerator, 1",
            "tests/test_exact.py"),
+    Mutant("pq-int-denominator-2", PKG + "exact.py", "return x, 1", "return x, 2",
+           "tests/test_exact.py"),
+    Mutant("ratio-no-remainder-check", PKG + "exact.py", "    if not rest:\n",
+           "    if True:\n", "tests/test_exact.py"),
     # the path and tableau validators
     Mutant("disjoint-never-false", PKG + "paths.py",
            "                return False\n            seen.add(pt)",

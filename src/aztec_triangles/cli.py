@@ -15,11 +15,12 @@ failed, 2 invalid input, 3 enumeration cap exceeded (see AZTEC_CAP).
 
 Each verb imports what it runs inside its handler, so a call loads only
 those modules: ``count --method det`` and ``verify`` never load the path,
-tableau, chain or tiling models, and ``--help`` loads none of them.
+tableau, chain or tiling models, and ``--help`` loads none of them.  The
+three verbs that print JSON import ``json`` in their handlers, so
+``count``, ``render`` and ``--help`` never load it.
 """
 
 import argparse
-import json
 import sys
 from itertools import islice
 
@@ -99,6 +100,8 @@ def _items(model: str, mu: Partition, case: int):
 
 
 def _cmd_enumerate(args) -> int:
+    import json
+
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     mu = parse_partition(args.mu)
@@ -114,6 +117,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
+    import json
+
     from .delannoy import lgv_determinant
 
     mu = parse_partition(args.mu)
@@ -131,6 +136,8 @@ def _cmd_crosscheck(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
     from .verify import run_suite
 
     records = run_suite(args.suite, args.kmax)

@@ -10,8 +10,8 @@ between the two matrix families needs.
 
 ``delannoy_D`` reads its second argument as j = p/q in lowest terms, an
 ``int`` as q = 1, and has one formula for both: an ``int`` numerator over
-one common denominator, divided with ``//`` at an integer j and finished
-as a ``Fraction`` otherwise.
+one common denominator, finished by ``exact.ratio``, which gives an ``int``
+at an integer j and builds no ``Fraction``.
 
 ``lgv_matrix`` and ``staircase_rows`` assemble the LGV and staircase
 matrices, and ``lgv_determinant`` counts by the LGV matrix.  They live
@@ -31,12 +31,11 @@ The brute-force counters walk the step set directly and serve as
 independent oracles for the closed forms.
 """
 
-from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
 from operator import mul
 
-from .exact import Exact, Matrix, normalize, pq
+from .exact import Exact, Matrix, pq, ratio
 from .partitions import Partition, check_partition
 
 
@@ -50,7 +49,8 @@ def delannoy_D(i: int, j: Exact) -> Exact:
     C(i,l) 2^l prod_{m<l} (p - m q) q^(top-l) top!/l!.  The sum runs to
     top = min(i, j) when j is a non-negative integer, since C(j,l) = 0 past
     j, and to top = i otherwise.  At an integer j the quotient is D(i, j),
-    an integer, so it is taken with ``//`` and no ``Fraction`` is built."""
+    an integer, which ``ratio`` gives as an ``int``, building no
+    ``Fraction``."""
     p, q = pq(j)
     if i < 0:
         return 0
@@ -61,7 +61,7 @@ def delannoy_D(i: int, j: Exact) -> Exact:
         falling *= p - l * q
         tail //= l + 1
     den = q**top * factorial(top)
-    return num // den if q == 1 else normalize(Fraction(num, den))
+    return ratio(num, den)
 
 
 def delannoy_H(i: int, j: int) -> int:
@@ -125,7 +125,7 @@ def staircase_rows(k: int, n: Exact, case: int) -> tuple[list[list[int]], list[i
         raise ValueError(f"case must be 1 or 2, got {case}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    if case == 2 and isinstance(n, Fraction) and n.denominator != 1:
+    if case == 2 and pq(n)[1] != 1:
         raise ValueError("the H matrix is defined for integer n only")
     table, c = _delannoy_table(k, n)
     if case == 2:
@@ -166,14 +166,8 @@ def _delannoy_table(k: int, n: Exact) -> tuple[list[list[int]], list[int]]:
     agree at every integer y >= 1, where D counts lattice paths; so each is
     a polynomial identity and holds at every rational y.
     """
-    (p, q), size = pq(n), 2 * k
-    f = [1] * size if q == 1 else [a * q for a in range(size)]
+    column, f = _delannoy_column(2 * k, n)
     c = list(accumulate(f[1:], mul, initial=1))
-    column = [1]
-    for a in range(1, size):
-        # at a = 1, column[a - 2] is column[-1], and its factor a - 1 is 0
-        tail = (a - 1) * q * f[a - 1] * column[a - 2]
-        column.append(f[a] * ((2 * p - q) * column[a - 1] + tail) // (a * q))
     table = [column]
     for _ in range(1, k):
         prev, column = column, [1]
@@ -181,6 +175,20 @@ def _delannoy_table(k: int, n: Exact) -> tuple[list[list[int]], list[int]]:
             column.append(up - f_a * (up_left + column[-1]))
         table.append(column)
     return table, c
+
+
+def _delannoy_column(size: int, n: Exact) -> tuple[list[int], list[int]]:
+    """Column 0 of ``_delannoy_table``, D(a, n-1) * c_a for a = 0..size-1
+    (just [1] at size 0), filled by its first recurrence, and the factors
+    f_a of the scales.  At an integer n every f_a is 1, so it is D(a, n-1)."""
+    p, q = pq(n)
+    f = [1] * size if q == 1 else [a * q for a in range(size)]
+    column = [1]
+    for a in range(1, size):
+        # at a = 1, column[a - 2] is column[-1], and its factor a - 1 is 0
+        tail = (a - 1) * q * f[a - 1] * column[a - 2]
+        column.append(f[a] * ((2 * p - q) * column[a - 1] + tail) // (a * q))
+    return column, f
 
 
 def count_D_paths_bruteforce(i: int, j: int) -> int:
@@ -221,11 +229,16 @@ def _count_paths(x: int, y: int, forbidden: tuple[int, int] | None) -> int:
 
 def half_shift_expansion(i: int, j: int) -> Exact:
     """The sum over l of (-1)^l C(-1/2,l) H(i-2l, j), which expands
-    D(i, j+1/2) in H values; ``verify.suite_delannoy`` checks the two agree."""
-    if i < -1 or j < -1:
-        raise ValueError("need i >= -1 and j >= -1")
-    # (-1)^l C(-1/2,l) = C(2l,l)/4^l: sum in int over the denominator 4^top
+    D(i, j+1/2) in H values; ``verify.suite_delannoy`` checks the two agree.
+
+    i and j are integers; the H values come from one column D(m, j),
+    m <= i, of ``_delannoy_column``."""
+    if i < -1 or j < -1 or pq(j)[1] != 1:
+        raise ValueError(f"need i >= -1 and an integer j >= -1, got {(i, j)}")
+    d, _ = _delannoy_column(i + 1, j + 1)
+    h = [x + y for x, y in zip(d, [0, *d])]  # H(m, j) = D(m, j) + D(m-1, j)
+    # (-1)^l C(-1/2,l) = C(2l,l)/4^l: sum in int over the denominator 4^top;
+    # at an odd i the last term, H(-1, j), is 0
     top = (i + 1) // 2
-    num = sum(comb(2 * l, l) * 4 ** (top - l) * delannoy_H(i - 2 * l, j)
-              for l in range(top + 1))
-    return normalize(Fraction(num, 4**top))
+    num = sum(comb(2 * l, l) * 4 ** (top - l) * h[i - 2 * l] for l in range(i // 2 + 1))
+    return ratio(num, 4**top)

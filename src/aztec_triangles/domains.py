@@ -26,7 +26,6 @@ produces the partition chain.
 from functools import partial
 from typing import NamedTuple
 
-from .errors import Found, SearchBudget, memo_search
 from .partitions import (
     HOLE,
     PARTICLE,
@@ -37,6 +36,7 @@ from .partitions import (
     pad,
     to_maya,
 )
+from .search import Found, SearchBudget, memo_search
 from .sequences import PartitionSequence, chain_length, validate_sequence
 
 VERTICAL = "V"

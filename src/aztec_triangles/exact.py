@@ -2,8 +2,11 @@
 and fraction-free determinants of integer matrices.
 
 Every value is an ``int`` or a ``fractions.Fraction``; nothing here ever
-rounds.  Results with denominator 1 are normalized back to ``int`` so that
-counts print and compare as plain integers.
+rounds.  ``ratio`` is the one place a quotient is built: an ``int`` when
+the division is exact, so that counts print and compare as plain integers,
+and otherwise a ``Fraction``.  ``fractions`` (which loads ``decimal``) is
+imported at the first value that is not an integer, so an integer count
+never loads it.
 
 ``pq`` is the one reader of an exact argument: it gives x = p/q in lowest
 terms, an ``int`` as q = 1, and refuses a float.  ``pochhammer`` takes every
@@ -15,25 +18,42 @@ itself (``delannoy.staircase_rows`` builds its rows that way) and divides
 the determinant by the product of the scales.
 """
 
-from fractions import Fraction
 from math import factorial, prod
 
-Exact = int | Fraction
+# int | fractions.Fraction, for annotations only: a string, so that this
+# module imports no fractions
+Exact = "int | Fraction"
+
+_Fraction = None  # fractions.Fraction once ratio has built one
+
+
+def ratio(num: int, den: int) -> Exact:
+    """num/den: the ``int`` quotient when den divides num, else a
+    ``Fraction``, the first of which imports ``fractions``."""
+    value, rest = divmod(num, den)
+    if not rest:
+        return value
+    global _Fraction
+    if _Fraction is None:
+        from fractions import Fraction as _Fraction
+    return _Fraction(num, den)
 
 
 def normalize(x: Exact) -> Exact:
     """Collapse integral Fractions to int; leave everything else alone."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
+    return x.numerator if x.denominator == 1 else x
 
 
 def pq(x: Exact) -> tuple[int, int]:
     """Read x as p/q in lowest terms with q > 0 (an ``int`` has q = 1),
-    refusing floats (exactness would be lost)."""
-    if isinstance(x, (int, Fraction)):
+    refusing floats (exactness would be lost), strings and Decimals: any
+    value but an ``int`` must carry its own numerator and denominator."""
+    if type(x) is int:
+        return x, 1
+    try:
         return x.numerator, x.denominator
-    raise TypeError(f"exact rational required, got {type(x).__name__}")
+    except AttributeError:
+        raise TypeError(f"exact rational required, got {type(x).__name__}") from None
 
 
 def binomial(x: Exact, l: int) -> Exact:
@@ -41,7 +61,8 @@ def binomial(x: Exact, l: int) -> Exact:
     and 0 for l < 0; ``x`` may be any rational."""
     if l < 0:
         return 0
-    return normalize(Fraction(pochhammer(x - l + 1, l), factorial(l)))
+    p, q = pq(pochhammer(x - l + 1, l))
+    return ratio(p, q * factorial(l))
 
 
 def pochhammer(x: Exact, i: int) -> Exact:
@@ -58,7 +79,7 @@ def pochhammer(x: Exact, i: int) -> Exact:
         num, den = prod(range(p, p + i * q, q)), q**i
     else:
         num, den = q**-i, prod(range(p + i * q, p, q))
-    return num if den == 1 else normalize(Fraction(num, den))
+    return ratio(num, den)
 
 
 class Matrix:

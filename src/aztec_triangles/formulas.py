@@ -12,11 +12,10 @@ All index ranges are written with their explicit floor bounds; the "products
 over all i >= 0" are finite only because later factor ranges are empty.
 """
 
-from fractions import Fraction
 from math import factorial, prod
 
 from .errors import IdentityError
-from .exact import Exact, normalize, pochhammer, pq
+from .exact import Exact, pochhammer, pq, ratio
 
 
 def product_case1(k: int, ell: int) -> int:
@@ -50,7 +49,7 @@ def leading_coefficient(k: int) -> Exact:
     """2^(k^2) / prod_(i=1..k) (i)_i, the top coefficient of det D1(k; n)
     and of ``product_main(k, n)``."""
     den = prod(pochhammer(i, i) for i in range(1, k + 1))
-    return normalize(Fraction(2 ** (k * k), den))
+    return ratio(2 ** (k * k), den)
 
 
 def product_main(k: int, n: Exact) -> Exact:
@@ -79,7 +78,8 @@ def product_main(k: int, n: Exact) -> Exact:
         e = min((s + 1) // 2, (k - s - even) // 2)
         num *= (2 * p + (2 * k - 2 * s - 1) * q) ** e
         den *= (2 * q) ** e
-    return normalize(leading_coefficient(k) * Fraction(num, den))
+    lead = leading_coefficient(k)
+    return ratio(lead.numerator * num, lead.denominator * den)
 
 
 def df_formula(n: int) -> int:

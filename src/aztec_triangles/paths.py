@@ -20,8 +20,8 @@ from functools import partial
 from typing import NamedTuple
 
 from .delannoy import lgv_matrix  # noqa: F401
-from .errors import Found, SearchBudget, memo_search
 from .partitions import Partition, check_partition
+from .search import Found, SearchBudget, memo_search
 from .tableaux import Entry, SuperSymplecticTableau, validate_tableau
 
 _MOVES = {"N": (0, 1), "D": (1, 1), "E": (1, 0)}

@@ -6,11 +6,9 @@ vertical strip growth, and its i-th entry has at most ceil(i/2) nonzero
 parts.
 """
 
-import json
 from functools import cache, partial
 from typing import NamedTuple
 
-from .errors import Found, SearchBudget, memo_search
 from .partitions import (
     Partition,
     is_horizontal_strip,
@@ -19,6 +17,7 @@ from .partitions import (
     normalize,
     part,
 )
+from .search import Found, SearchBudget, memo_search
 
 
 class PartitionSequence(NamedTuple):
@@ -47,6 +46,8 @@ def json_lines(items):
     differ only in their last field, whose element i alone makes element i
     of the list ending their JSON.  The head before that list is encoded
     once, and so is each (i, element), from an item holding i + 1 copies."""
+    import json  # here, so that a render, which loads this module, loads no json
+
     text = None
     for item in items:
         if text is None:

@@ -12,8 +12,8 @@ from bisect import bisect_right
 from functools import partial
 from typing import NamedTuple
 
-from .errors import Found
 from .partitions import Partition, is_partition, normalize, part
+from .search import Found
 from .sequences import PartitionSequence, chain_length, chain_search, validate_sequence
 
 

@@ -38,7 +38,7 @@ from .delannoy import (
     count_D_paths_bruteforce, count_H_paths_bruteforce, delannoy_D, delannoy_H,
     half_shift_expansion, lgv_determinant, staircase_rows,
 )
-from .exact import Exact, Matrix, binomial, normalize, pochhammer
+from .exact import Exact, Matrix, binomial, normalize, pochhammer, ratio
 from .formulas import leading_coefficient, product_main
 
 _HALF = Fraction(1, 2)
@@ -77,7 +77,7 @@ def _staircase_det(k: int, n: Exact, case: int) -> Exact:
     """det D1(k; n) (case 1) or det D2(k; n) (case 2): the determinant of
     ``staircase_rows``'s ``int`` rows over the product of their scales."""
     rows, scales = staircase_rows(k, n, case)
-    return normalize(Fraction(Matrix(rows).determinant(), prod(scales)))
+    return ratio(Matrix(rows).determinant(), prod(scales))
 
 
 def _kernel_step(step: str, variant, k: int, s: int, a: int, d1, coeff) -> dict:
@@ -120,7 +120,7 @@ def _kernel_step(step: str, variant, k: int, s: int, a: int, d1, coeff) -> dict:
         scales = [common] * k
     passed = not any(sums)
     residual = None if passed else [
-        str(normalize(Fraction(x, c))) for x, c in zip(sums, scales)
+        str(ratio(x, c)) for x, c in zip(sums, scales)
     ]
     return _record(step, params, passed, residual)
 

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -692,7 +693,7 @@ def test_enumerate_header_counts_above_maxsize(capsys, monkeypatch):
 )
 def test_goal_counts_above_maxsize(capsys, monkeypatch, argv, code, out, err):
     # every search stands in for one with 2^64 goals; len() would raise
-    from aztec_triangles.errors import Found
+    from aztec_triangles.search import Found
 
     monkeypatch.setattr(cli, "_items", lambda model, mu, case: Found(
         None, 2**64, None, None))
@@ -727,14 +728,17 @@ SRC = Path(aztec_triangles.__file__).resolve().parents[1]
 
 
 WATCHED = ("dataclasses", "inspect")
+# what only a call that prints JSON or builds a Fraction needs
+DEFERRED = ("json", "fractions", "decimal")
 
 
 def loaded_modules(code, *argv):
-    """The package's submodules, and those of ``WATCHED``, in sys.modules
-    after a fresh interpreter runs ``code``, which must import ``sys``."""
+    """The package's submodules, and those of ``WATCHED`` and ``DEFERRED``,
+    in sys.modules after a fresh interpreter runs ``code``, which must
+    import ``sys``."""
     code += (
         "\nprint(sorted(m for m in sys.modules"
-        f" if m.startswith('aztec_triangles.') or m in {WATCHED!r}))"
+        f" if m.startswith('aztec_triangles.') or m in {WATCHED + DEFERRED!r}))"
     )
     child = subprocess.run(
         [sys.executable, "-c", code, *argv],
@@ -773,6 +777,33 @@ def test_verb_imports_only_what_it_runs(argv, absent):
     loaded = loaded_modules(CLI_MAIN, *argv)
     assert "aztec_triangles.cli" in loaded
     assert not {f"aztec_triangles.{name}" for name in absent} & loaded, loaded
+
+
+SEARCH = "aztec_triangles.search"
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (("--help",), DEFERRED + (SEARCH,)),
+        (("count", "--mu", "3,2,1", "--case", "1", "--method", "det"), DEFERRED + (SEARCH,)),
+        (("count", "--mu", "3,2,1", "--case", "1", "--method", "product"),
+         DEFERRED + (SEARCH,)),
+        (("render", "--mu", "3,2,1", "--case", "1", "--format", "ascii"), DEFERRED),
+        (("verify", "--suite", "delannoy", "--kmax", "2"), (SEARCH,)),
+        (("verify", "--suite", "main", "--kmax", "2"), (SEARCH,)),
+    ],
+    ids=["help", "count-det", "count-product", "render", "verify-delannoy", "verify-main"],
+)
+def test_call_loads_only_what_it_prints_and_computes(argv, absent):
+    # an integer count builds no Fraction, only the verbs that print JSON
+    # load json, and the search engine is a module of its own, which a call
+    # that searches nothing never compiles
+    for name in absent:
+        importlib.import_module(name)  # each is a module, so its absence counts
+    loaded = loaded_modules(CLI_MAIN, *argv)
+    assert "aztec_triangles.cli" in loaded
+    assert not set(absent) & loaded, loaded
 
 
 MODEL_MODULES = {"paths": "paths", "sequence": "sequences", "tableau": "tableaux",

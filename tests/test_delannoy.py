@@ -181,6 +181,15 @@ def test_half_shift_expansion():
         half_shift_expansion(-2, 0)
 
 
+def test_half_shift_expansion_needs_an_integer_j():
+    # its H values come from one column of integer D values, so an integral
+    # Fraction j is read as that integer and any other j is refused
+    assert half_shift_expansion(4, Fraction(6, 2)) == delannoy_D(4, Fraction(7, 2))
+    for j in (HALF, Fraction(7, 3)):
+        with pytest.raises(ValueError, match="integer j"):
+            half_shift_expansion(2, j)
+
+
 def test_polynomial_in_second_argument():
     # D(i, j) has degree i in j: finite differences of order i+1 vanish
     for i in range(6):

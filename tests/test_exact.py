@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
@@ -12,6 +13,7 @@ from aztec_triangles.exact import (
     normalize,
     pochhammer,
     pq,
+    ratio,
 )
 
 
@@ -108,6 +110,18 @@ def test_double_factorial():
         assert pochhammer(1, i) * 2**i == prod(range(2 * i, 0, -2))
 
 
+def test_ratio_is_the_normalized_fraction():
+    # the int quotient when den divides num, else the Fraction, at either sign
+    big = 3**80
+    cases = [(num, den) for num in range(-12, 13) for den in range(-6, 7) if den]
+    cases += [(big * 7, 7), (big * 7, -7), (big + 1, 3), (-big, 3 * big), (0, -5)]
+    for num, den in cases:
+        value, expected = ratio(num, den), normalize(Fraction(num, den))
+        assert value == expected and type(value) is type(expected), (num, den)
+    with pytest.raises(ZeroDivisionError):
+        ratio(1, 0)
+
+
 def test_normalize():
     assert normalize(Fraction(6, 3)) == 2 and isinstance(normalize(Fraction(6, 3)), int)
     assert normalize(Fraction(1, 3)) == Fraction(1, 3)
@@ -118,12 +132,19 @@ def test_floats_are_rejected():
     with pytest.raises(TypeError):
         pq(0.5)
     assert pq(Fraction(1, 2)) == (1, 2)
+    assert pq(Fraction(-6, 4)) == (-3, 2)
     assert pq(3) == (3, 1)
+    assert pq(True) == (1, 1) and type(pq(True)[0]) is int
     from aztec_triangles.delannoy import delannoy_D
 
-    for j in (0.5, 2.0):
+    for j in (0.5, 2.0, "2", Decimal(2), Decimal("0.5")):
         with pytest.raises(TypeError):
             delannoy_D(2, j)
+    for x, name in ((1.5, "float"), ("2", "str"), (Decimal(2), "Decimal")):
+        with pytest.raises(TypeError, match=f"^exact rational required, got {name}$"):
+            pq(x)
+        with pytest.raises(TypeError, match=f"^exact rational required, got {name}$"):
+            pochhammer(x, 2)
     for fn in (binomial, pochhammer):
         with pytest.raises(TypeError, match="^exact rational required, got float$"):
             fn(1.5, 2)

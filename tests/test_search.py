@@ -12,7 +12,7 @@ import pytest
 from conftest import small_partitions
 
 from aztec_triangles import domains, paths, sequences, tableaux
-from aztec_triangles.errors import CapExceeded, SearchBudget
+from aztec_triangles.errors import CapExceeded
 from aztec_triangles.partitions import (
     is_horizontal_strip,
     is_partition,
@@ -20,6 +20,7 @@ from aztec_triangles.partitions import (
     normalize,
     pad,
 )
+from aztec_triangles.search import SearchBudget
 from aztec_triangles.tableaux import enumerate_tableaux
 
 
