@@ -52,6 +52,9 @@ MUTANTS = [
            "tests/test_exact.py"),
     Mutant("ratio-no-remainder-check", PKG + "exact.py", "    if not rest:\n",
            "    if True:\n", "tests/test_exact.py"),
+    Mutant("det-turns-rows-not-each-row", PKG + "exact.py",
+           "[list(reversed(row)) for row in", "[list(row) for row in",
+           "tests/test_exact.py"),
     # the path and tableau validators
     Mutant("disjoint-never-false", PKG + "paths.py",
            "                return False\n            seen.add(pt)",

@@ -112,7 +112,10 @@ def _cmd_enumerate(args) -> int:
                       "count": total, "emitted": emitted}))
     from .sequences import json_lines
 
-    sys.stdout.writelines(json_lines(islice(items, args.limit)))
+    # a whole stream needs no stop, and islice takes none above sys.maxsize,
+    # which no stream reaches
+    stop = None if emitted == total else min(emitted, sys.maxsize)
+    sys.stdout.writelines(json_lines(islice(items, stop)))
     return 0
 
 

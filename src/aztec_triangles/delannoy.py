@@ -92,18 +92,8 @@ def lgv_matrix(mu: Partition, case: int) -> Matrix:
 
 
 def lgv_determinant(mu: Partition, case: int) -> int:
-    """det ``lgv_matrix(mu, case)``: the number of vertex-disjoint families.
-
-    Bareiss keeps leading minors as its intermediate entries, and the LGV
-    matrix has its largest entries in the top-left corner, where
-    ``mu[a] - a + b`` is largest.  So this eliminates the matrix rotated by
-    180 degrees, its rows and its columns reversed, whose leading minors are
-    small.  The value is unchanged: reversing the rows and reversing the
-    columns each multiply the determinant by the sign of the same reversal
-    permutation, and the two signs cancel.
-    """
-    rows = lgv_matrix(mu, case).entries
-    return Matrix([row[::-1] for row in reversed(rows)]).determinant()
+    """det ``lgv_matrix(mu, case)``: the number of vertex-disjoint families."""
+    return lgv_matrix(mu, case).determinant()
 
 
 def staircase_rows(k: int, n: Exact, case: int) -> tuple[list[list[int]], list[int]]:

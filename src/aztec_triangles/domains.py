@@ -36,7 +36,6 @@ from .partitions import (
     pad,
     to_maya,
 )
-from .search import Found, SearchBudget, memo_search
 from .sequences import PartitionSequence, chain_length, validate_sequence
 
 VERTICAL = "V"
@@ -112,7 +111,7 @@ def validate_tiling(tiling: Tiling) -> bool:
     )
 
 
-def enumerate_tilings(domain: Domain) -> Found:
+def enumerate_tilings(domain: Domain):
     """Every tiling of the domain, sorted by its dominoes: backtracking exact
     cover over the first uncovered cell in (d, p) order; that cell is always
     the start of some domino.  The search's ``Found``: its ``len`` is the
@@ -126,6 +125,8 @@ def enumerate_tilings(domain: Domain) -> Found:
     start-cell order and ``Domino`` orders "H" < "V", so every tiling comes
     out with sorted dominoes and the tilings come out sorted by
     ``t.dominoes`` without a sort."""
+    from .search import SearchBudget, memo_search
+
     cells = domain.sorted_cells()
     index = {cell: i for i, cell in enumerate(cells)}
     # each step covers cell i and its partner: a one-domino payload and two bits

@@ -13,9 +13,10 @@ terms, an ``int`` as q = 1, and refuses a float.  ``pochhammer`` takes every
 integer index: an ``int`` product over q^i, or q^m over an ``int`` product
 at i = -m < 0.  ``binomial`` is a ``pochhammer`` over l!.
 ``Matrix.determinant`` takes ``int`` entries only and eliminates in ``int``
-arithmetic.  A caller with rational entries scales each row to integers
-itself (``delannoy.staircase_rows`` builds its rows that way) and divides
-the determinant by the product of the scales.
+arithmetic, turned 180 degrees so that Bareiss keeps an LGV matrix's small
+minors.  A caller with rational entries scales each row to integers itself
+(``delannoy.staircase_rows`` builds its rows that way) and divides the
+determinant by the product of the scales.
 """
 
 from math import factorial, prod
@@ -103,6 +104,14 @@ class Matrix:
         """Exact determinant of an ``int`` matrix by fraction-free (Bareiss)
         elimination.
 
+        Bareiss keeps leading minors as its intermediate entries.  Row a of
+        an LGV matrix reads D(mu_a - a + b, n - b - 1), and mu_a - a falls
+        with a, so its bottom-right minors are the small ones (a staircase
+        matrix's too at n >= k).  So it eliminates the matrix turned 180
+        degrees, its rows and each row read in reverse.  Reversing the rows
+        and reversing the columns each multiply the determinant by the sign
+        of the same permutation, so the value is unchanged.
+
         Pivots on the first nonzero entry of each column, swapping rows with
         sign tracking; an all-zero column short-circuits to 0.  The 0x0
         determinant is 1.  Each Bareiss quotient is exact (Sylvester's
@@ -118,7 +127,7 @@ class Matrix:
                     raise TypeError(f"int entries required, got {type(x).__name__}")
         if n == 0:
             return 1
-        a = [list(row) for row in self.entries]
+        a = [list(reversed(row)) for row in reversed(self.entries)]
         sign = 1
         prev = 1
         for r in range(n - 1):
@@ -131,6 +140,5 @@ class Matrix:
             for i in range(r + 1, n):
                 for j in range(r + 1, n):
                     a[i][j] = (a[i][j] * a[r][r] - a[i][r] * a[r][j]) // prev
-                a[i][r] = 0
             prev = a[r][r]
         return sign * a[n - 1][n - 1]

@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 from .delannoy import lgv_matrix  # noqa: F401
 from .partitions import Partition, check_partition
-from .search import Found, SearchBudget, memo_search
 from .tableaux import Entry, SuperSymplecticTableau, validate_tableau
 
 _MOVES = {"N": (0, 1), "D": (1, 1), "E": (1, 0)}
@@ -154,6 +153,8 @@ def _single_paths(start, end, ban_final_east, budget):
     The walk runs on ``memo_search`` with state (dx, dy), the displacement
     still to go: each is expanded once, and the budget is charged one node
     per prefix of the plain walk, repeated subtrees included."""
+    from .search import memo_search
+
     dx0, dy0 = end[0] - start[0], end[1] - start[1]
 
     def successors(state):
@@ -172,11 +173,13 @@ def _single_paths(start, end, ban_final_east, budget):
     return memo_search((dx0, dy0), successors, "", budget, str)
 
 
-def enumerate_path_families(mu: Partition, case: int) -> Found:
+def enumerate_path_families(mu: Partition, case: int):
     """Brute-force the vertex-disjoint families with the prescribed endpoints,
     in lexicographic order of their step words: ``memo_search`` over states
     (j, points of path j-1), charged like ``_single_paths``.  The search's
     ``Found``, which builds a family only when one is read."""
+    from .search import SearchBudget, memo_search
+
     if case not in (1, 2):
         raise ValueError(f"case must be 1 or 2, got {case}")
     mu = check_partition(tuple(mu))

@@ -17,7 +17,6 @@ from .partitions import (
     normalize,
     part,
 )
-from .search import Found, SearchBudget, memo_search
 
 
 class PartitionSequence(NamedTuple):
@@ -107,7 +106,7 @@ def _strip_extensions(lam, bound, max_parts, vertical):
     return [normalize(nu) for nu in found]
 
 
-def chain_search(mu, case, step, start, wrap) -> Found:
+def chain_search(mu, case, step, start, wrap):
     """The one chain search: a depth-first walk over the chains ending at
     mu, in lexicographic order, charging one budget node per chain prefix.
 
@@ -118,6 +117,8 @@ def chain_search(mu, case, step, start, wrap) -> Found:
     in the plain walk's order, ``wrap`` of ``start`` followed by each
     chain's payloads, joined with ``+``.  ``mu`` is a tuple.
     """
+    from .search import Found, SearchBudget, memo_search
+
     if not is_partition(mu):
         raise ValueError(f"not a partition: {mu}")
     ell = chain_length(mu, case)
@@ -138,7 +139,7 @@ def chain_search(mu, case, step, start, wrap) -> Found:
     return memo_search((1, ()), successors, start, budget, wrap)
 
 
-def enumerate_sequences(mu: Partition, case: int) -> Found:
+def enumerate_sequences(mu: Partition, case: int):
     """The chains ending at mu, in lexicographic order: the search's
     ``Found``, which builds a sequence only when one is read.
 

@@ -13,7 +13,6 @@ from functools import partial
 from typing import NamedTuple
 
 from .partitions import Partition, is_partition, normalize, part
-from .search import Found
 from .sequences import PartitionSequence, chain_length, chain_search, validate_sequence
 
 
@@ -111,7 +110,7 @@ def tableau_to_sequence(t: SuperSymplecticTableau) -> PartitionSequence:
     return PartitionSequence(t.case, t.shape, tuple(chain))
 
 
-def enumerate_tableaux(mu: Partition, case: int) -> Found:
+def enumerate_tableaux(mu: Partition, case: int):
     """All type-1/type-2 tableaux of shape mu, in chain order: the search's
     ``Found``, which builds a tableau only when one is read.
 

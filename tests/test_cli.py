@@ -134,6 +134,14 @@ def test_enumerate_limit_truncates_canonical_order(capsys):
     assert lines[1:] == full.strip().splitlines()[1:3]
 
 
+def test_enumerate_limit_above_maxsize_streams_all(capsys):
+    argv = ("enumerate", "--mu", "2,1", "--case", "1", "--model", "tiling")
+    _, full, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--limit", "99999999999999999999")
+    assert (code, err) == (0, "")
+    assert out == full and len(out.splitlines()) == 5  # the header and 4 tilings
+
+
 # sha256 of the full `enumerate --mu 4,3,2,1 --case 1` stdout of each model
 STREAM_DIGESTS = {
     "sequence": "a00705acf9b6f8fed1b555ccb218e7cd019a6db8a125e065687038226813b087",
@@ -789,7 +797,8 @@ SEARCH = "aztec_triangles.search"
         (("count", "--mu", "3,2,1", "--case", "1", "--method", "det"), DEFERRED + (SEARCH,)),
         (("count", "--mu", "3,2,1", "--case", "1", "--method", "product"),
          DEFERRED + (SEARCH,)),
-        (("render", "--mu", "3,2,1", "--case", "1", "--format", "ascii"), DEFERRED),
+        (("render", "--mu", "3,2,1", "--case", "1", "--format", "ascii"),
+         DEFERRED + (SEARCH,)),
         (("verify", "--suite", "delannoy", "--kmax", "2"), (SEARCH,)),
         (("verify", "--suite", "main", "--kmax", "2"), (SEARCH,)),
     ],

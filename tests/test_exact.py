@@ -173,6 +173,8 @@ def test_determinant_trivial_cases():
     assert Matrix([]).determinant() == 1
     assert Matrix([[5]]).determinant() == 5
     assert Matrix([[1, -1], [1, -1]]).determinant() == 0
+    # a zero last column is the turned matrix's first column: 0 at once
+    assert Matrix([[1, 2, 0], [3, 4, 0], [5, 6, 0]]).determinant() == 0
 
 
 def test_determinant_requires_square():
@@ -185,6 +187,9 @@ def test_determinant_needs_row_swap():
     assert m.determinant() == -1
     m = Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
     assert m.determinant() == -1
+    # the turned matrix's first pivot is the bottom-right entry, 0 here
+    assert Matrix([[1, 2], [3, 0]]).determinant() == -6
+    assert Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 0]]).determinant() == 27
 
 
 _int_rows = st.integers(min_value=0, max_value=6).flatmap(
@@ -197,16 +202,18 @@ _int_rows = st.integers(min_value=0, max_value=6).flatmap(
 
 
 @given(_int_rows, st.integers(min_value=0, max_value=2))
-@example([[0, 1, 2], [3, 4, 5], [6, 7, 8]], 0)  # singular, swap at the first pivot
-@example([[1, 2, 3], [2, 4, 7], [5, 1, 1]], 0)  # swap at the second pivot
-@example([[0, 0], [0, 5]], 0)  # all-zero first column
+# the examples name the steps of the elimination, which turns the matrix 180
+# degrees first
+@example([[8, 7, 6], [5, 4, 3], [2, 1, 0]], 0)  # singular, swap at the first pivot
+@example([[1, 1, 5], [7, 4, 2], [3, 2, 1]], 0)  # swap at the second pivot
+@example([[5, 0], [0, 0]], 0)  # all-zero first column
 def test_int_determinant_matches_expansion(rows, shape):
     # shape 1 makes the last row a copy of the first, or zero when n = 1
-    # (singular); shape 2 zeroes the first pivot
+    # (singular); shape 2 zeroes the first pivot, the bottom-right entry
     if rows and shape == 1:
         rows[-1] = list(rows[0]) if len(rows) > 1 else [0]
     if rows and shape == 2:
-        rows[0][0] = 0
+        rows[-1][-1] = 0
     m = Matrix(rows)
     value = m.determinant()
     assert type(value) is int

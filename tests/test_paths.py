@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -12,6 +13,7 @@ from aztec_triangles.delannoy import (
 )
 from aztec_triangles.errors import CapExceeded
 from aztec_triangles.exact import Matrix
+from aztec_triangles.formulas import product_main
 from aztec_triangles.paths import (
     LatticePath,
     PathFamily,
@@ -197,6 +199,21 @@ def test_two_indexings_same_determinant():
                 for row in flipped
             ]
             assert Matrix(flipped).determinant() == Matrix(rows).determinant()
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_staircase_determinant_in_both_orders(k):
+    # ``Matrix.determinant`` eliminates the matrix turned 180 degrees; the
+    # anti-transpose, turned, is the transpose, which it eliminates in the
+    # unturned order.  Both equal the product: case 1 at half-integer n, and
+    # case 2 at integer n, as det D2(k; n) = det D1(k; n + 1/2); n < k too
+    for m in range(-3, 2 * k + 2):
+        for case, n in ((1, m + HALF), (2, m)):
+            rows, scales = staircase_rows(k, n, case)
+            flipped = [[rows[k - 1 - b][k - 1 - a] for b in range(k)] for a in range(k)]
+            det = Matrix(rows).determinant()
+            assert Matrix(flipped).determinant() == det, (k, n, case)
+            assert Fraction(det, prod(scales)) == product_main(k, m + HALF), (k, n, case)
 
 
 def test_entry_conventions():

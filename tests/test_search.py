@@ -11,7 +11,7 @@ import pytest
 
 from conftest import small_partitions
 
-from aztec_triangles import domains, paths, sequences, tableaux
+from aztec_triangles import domains, paths, search, sequences, tableaux
 from aztec_triangles.errors import CapExceeded
 from aztec_triangles.partitions import (
     is_horizontal_strip,
@@ -149,8 +149,7 @@ def budgets(monkeypatch):
             super().__init__(name)
             made.append(self)
 
-    for module in (domains, paths, sequences):
-        monkeypatch.setattr(module, "SearchBudget", Recorded)
+    monkeypatch.setattr(search, "SearchBudget", Recorded)
     return made
 
 
