@@ -119,6 +119,26 @@ MUTANTS = [
     # the chain search
     Mutant("vertical-strip-lo-plus-2", PKG + "sequences.py",
            "top = lo + 1 if vertical", "top = lo + 2 if vertical", "tests/test_sequences.py"),
+    # the option reader, the stream writer and the out-of-memory exit
+    Mutant("reader-any-flag-prefix", PKG + "cli.py",
+           "text = given.pop(flags[-1], None)",
+           "text = next((given.pop(f) for f in list(given) if flags[-1].startswith(f)), None)",
+           "tests/test_cli.py"),
+    Mutant("reader-any-dash-value", PKG + "cli.py",
+           'if text.startswith("-") and not text[1:].isdecimal():', "if False:",
+           "tests/test_cli.py"),
+    Mutant("reader-no-default", PKG + "cli.py",
+           'args[dest] = spec.get("default")', "pass", "tests/test_cli.py"),
+    Mutant("stream-drops-partial-block", PKG + "cli.py",
+           'while block := "".join(islice(lines, _STREAM_BLOCK)):\n'
+           "        sys.stdout.write(block)",
+           "for block in zip(*[lines] * _STREAM_BLOCK):\n"
+           '        sys.stdout.write("".join(block))',
+           "tests/test_cli.py"),
+    Mutant("out-of-memory-exit-1", PKG + "cli.py",
+           'of memory running {args.verb}", file=sys.stderr)\n    return 3',
+           'of memory running {args.verb}", file=sys.stderr)\n    return 1',
+           "tests/test_cli.py"),
 ]
 
 

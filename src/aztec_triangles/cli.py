@@ -11,18 +11,23 @@ A stream (``sequences.json_lines``) encodes the fields its objects share
 once, and each distinct part (domino, chain entry, row, path) once.
 
 Exit codes: 0 success / all checks pass, 1 a verification or crosscheck
-failed, 2 invalid input, 3 enumeration cap exceeded (see AZTEC_CAP).
+failed, 2 invalid input, 3 enumeration cap exceeded (see AZTEC_CAP) or out
+of memory.
 
 Each verb imports what it runs inside its handler, so a call loads only
 those modules: ``count --method det`` and ``verify`` never load the path,
 tableau, chain or tiling models, and ``--help`` loads none of them.  The
 three verbs that print JSON import ``json`` in their handlers, so
-``count``, ``render`` and ``--help`` never load it.
+``count``, ``render`` and ``--help`` never load it.  A well-formed call
+(a verb, then ``--long-flag VALUE`` pairs) reads its options without
+importing ``argparse``, ``gettext`` or ``locale``; ``--help``, ``-h``,
+abbreviations, ``--name=value`` and every usage error still go through
+``argparse``.
 """
 
-import argparse
 import sys
 from itertools import islice
+from types import SimpleNamespace
 
 from .errors import CapExceeded, IdentityError
 from .partitions import Partition, check_partition, normalize
@@ -99,6 +104,11 @@ def _items(model: str, mu: Partition, case: int):
     return enumerate_tilings(build_domain(mu, case))
 
 
+# lines per write of a stream: an unbuffered stdout (``python -u``,
+# PYTHONUNBUFFERED) or a terminal would take one write per line
+_STREAM_BLOCK = 256
+
+
 def _cmd_enumerate(args) -> int:
     import json
 
@@ -115,7 +125,9 @@ def _cmd_enumerate(args) -> int:
     # a whole stream needs no stop, and islice takes none above sys.maxsize,
     # which no stream reaches
     stop = None if emitted == total else min(emitted, sys.maxsize)
-    sys.stdout.writelines(json_lines(islice(items, stop)))
+    lines = json_lines(islice(items, stop))
+    while block := "".join(islice(lines, _STREAM_BLOCK)):
+        sys.stdout.write(block)
     return 0
 
 
@@ -169,58 +181,106 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each verb's help, handler and options.  An option is the (flags, keywords)
+# that build_parser hands to add_argument, and _read_argv reads the same
+# pair: its last flag, type, choices, default and required.
+_MU_CASE = (
+    (("--mu",), dict(required=True, help="partition, e.g. '3,2,1' (trailing zeros count)")),
+    (("--case",), dict(type=int, choices=(1, 2), required=True)),
+)
+_VERBS = {
+    "count": ("print the exact tiling count", _cmd_count, (
+        *_MU_CASE,
+        (("--method",), dict(choices=("det", "product", "brute"), default="det")),
+    )),
+    "enumerate": ("stream one model's objects as JSON", _cmd_enumerate, (
+        *_MU_CASE,
+        (("--model",), dict(choices=_MODELS, required=True)),
+        (("--limit",), dict(type=int, default=None, help="truncate canonical order")),
+    )),
+    "crosscheck": ("run all four counters and compare", _cmd_crosscheck, _MU_CASE),
+    "verify": ("run an identity suite, print JSON report", _cmd_verify, (
+        (("--suite",), dict(choices=SUITE_NAMES + ("all",), required=True)),
+        (("--kmax",), dict(
+            type=int, default=None,
+            help="top of the sweep; id1 and id2 sweep to max(4s+6, kmax) for each s",
+        )),
+    )),
+    "render": ("draw a domain or one of its tilings", _cmd_render, (
+        *_MU_CASE,
+        (("--tiling-index",), dict(type=int, default=None)),
+        (("--format",), dict(choices=("ascii", "svg"), required=True)),
+        (("-o", "--output"), dict(default=None)),
+    )),
+}
+
+
+def build_parser():
+    """The ``argparse.ArgumentParser`` of ``_VERBS``, which reads every argv
+    that ``_read_argv`` does not, and prints help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="aztec-triangles",
         description="Count, enumerate, verify and draw domino tilings of "
         "generalized Aztec triangles.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_mu_case(p):
-        p.add_argument("--mu", required=True, help="partition, e.g. '3,2,1' (trailing zeros count)")
-        p.add_argument("--case", type=int, choices=(1, 2), required=True)
-
-    p = sub.add_parser("count", help="print the exact tiling count")
-    add_mu_case(p)
-    p.add_argument("--method", choices=("det", "product", "brute"), default="det")
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("enumerate", help="stream one model's objects as JSON")
-    add_mu_case(p)
-    p.add_argument("--model", choices=_MODELS, required=True)
-    p.add_argument("--limit", type=int, default=None, help="truncate canonical order")
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("crosscheck", help="run all four counters and compare")
-    add_mu_case(p)
-    p.set_defaults(func=_cmd_crosscheck)
-
-    p = sub.add_parser("verify", help="run an identity suite, print JSON report")
-    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), required=True)
-    p.add_argument(
-        "--kmax", type=int, default=None,
-        help="top of the sweep; id1 and id2 sweep to max(4s+6, kmax) for each s",
-    )
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("render", help="draw a domain or one of its tilings")
-    add_mu_case(p)
-    p.add_argument("--tiling-index", type=int, default=None)
-    p.add_argument("--format", choices=("ascii", "svg"), required=True)
-    p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_render)
-
+    for verb, (text, func, options) in _VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        for flags, spec in options:
+            p.add_argument(*flags, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read_argv(argv):
+    """``build_parser().parse_args(argv)`` without argparse, or None.
+
+    It reads only a verb followed by ``--long-flag VALUE`` pairs: each of
+    the verb's options at most once, each value converting by the option's
+    type into one of its choices, every required option present, and no
+    value starting with ``-`` unless argparse reads it as a negative number
+    (``-`` then decimal digits).  Any other argv (help, ``-o``, an
+    abbreviation, ``--name=value``, a repeat, a bad value, an unknown verb)
+    gets None and goes to argparse, which reads it or prints its help or
+    usage error.
+    """
+    if not argv or argv[0] not in _VERBS:
+        return None
+    _, func, options = _VERBS[argv[0]]
+    given = dict(zip(argv[1::2], argv[2::2]))
+    if 2 * len(given) + 1 != len(argv):
+        return None  # a flag without a value, or a repeated flag
+    args = {"verb": argv[0], "func": func}
+    for flags, spec in options:
+        dest = flags[-1][2:].replace("-", "_")
+        text = given.pop(flags[-1], None)
+        if text is None:
+            if spec.get("required"):
+                return None
+            args[dest] = spec.get("default")
+            continue
+        if text.startswith("-") and not text[1:].isdecimal():
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        args[dest] = value
+    return None if given else SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help
-        return int(exc.code or 0)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits 2 on usage errors and 0 on --help
+            return int(exc.code or 0)
     # counts of any size print; older Pythons have no int-to-str limit
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
@@ -235,6 +295,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass
+    # out of the handler, whose traceback held the frames of the call, so
+    # whatever the call had built is free before the message is written
+    print(f"error: out of memory running {args.verb}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import small_partitions
 
@@ -158,6 +162,34 @@ def test_enumerate_stream_digest(capsys, model):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STREAM_DIGESTS[model]
+
+
+class CountedWrites(io.RawIOBase):
+    """A raw stream that keeps what it is given and counts the writes."""
+
+    def __init__(self):
+        self.data, self.writes = bytearray(), 0
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += b
+        self.writes += 1
+        return len(b)
+
+
+def test_stream_is_written_in_blocks(monkeypatch):
+    # stdout as ``python -u`` or PYTHONUNBUFFERED builds it: each write of the
+    # text layer is one write of the raw stream.  The header and 3,328 lines
+    # took 3,330 writes when each line was written alone.
+    raw = CountedWrites()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+        raw, encoding="utf-8", newline="\n", write_through=True))
+    code = main(["enumerate", "--mu", "4,3,2,1", "--case", "1", "--model", "tiling"])
+    assert code == 0
+    assert hashlib.sha256(raw.data).hexdigest() == STREAM_DIGESTS["tiling"]
+    assert raw.writes <= 20
 
 
 COUNT_321_CASE_2 = 352
@@ -568,6 +600,36 @@ def test_hopeless_search_exits_3_at_once(capsys, monkeypatch, argv, search):
     assert err == f"error: {search} search exceeded cap of 10000000 nodes\n"
 
 
+def test_out_of_memory_exits_3_with_one_line(capsys, monkeypatch):
+    def exhausted(model, mu, case):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_items", exhausted)
+    assert run_cli(capsys, "count", *SMALL_CASE_1, "--method", "brute") == (
+        3, "", "error: out of memory running count\n")
+
+
+def test_out_of_memory_in_a_child_exits_3():
+    # the single-path search of a 300,000-cell part fills a 256 MiB address
+    # space in about 1.5 s; the message is written after it is freed
+    import resource
+
+    limit = 256 << 20
+    began = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-m", "aztec_triangles.cli", "enumerate", "--mu", "300000",
+         "--case", "1", "--model", "paths", "--limit", "1"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert time.perf_counter() - began < 5
+    assert (child.returncode, child.stdout, child.stderr) == (
+        3, "", "error: out of memory running enumerate\n")
+
+
 def test_output_deterministic(capsys):
     args = ("enumerate", "--mu", "2,1", "--case", "2", "--model", "paths")
     _, first, _ = run_cli(capsys, *args)
@@ -732,21 +794,126 @@ def test_suite_names_match_verify():
     assert tuple(sorted(verify.SUITES)) == cli.SUITE_NAMES
 
 
+# a well-formed call of each verb, which the reader reads without argparse
+WELL_FORMED = {
+    "count": ("count", "--mu", "3,2,1", "--case", "1"),
+    "enumerate": ("enumerate", "--case", "2", "--model", "tiling", "--mu", "2,1",
+                  "--limit", "1"),
+    "crosscheck": ("crosscheck", "--mu", "2,1", "--case", "1"),
+    "verify": ("verify", "--suite", "delannoy", "--kmax", "2"),
+    "render": ("render", "--mu", "2,1", "--case", "1", "--tiling-index", "0",
+               "--format", "svg"),
+}
+
+
+@pytest.mark.parametrize("argv", WELL_FORMED.values(), ids=list(WELL_FORMED))
+def test_reader_reads_a_well_formed_call_as_argparse_does(argv):
+    assert vars(cli._read_argv(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("frob",),
+        ("count", "--mu", "1", "--case"),
+        ("count", "--mu", "1", "--case", "1", "--case", "2"),
+        ("count", "--mu", "1"),
+        ("count", "--mu", "1", "--case", "-1_000"),
+        ("count", "--mu", "1", "--case", "x"),
+        ("count", "--mu", "1", "--case", "3"),
+        ("count", "--mu", "2,1", "--case", "1", "--meth", "det"),
+    ],
+    ids=["empty", "unknown-verb", "no-value", "repeat", "required", "option-like",
+         "type", "choices", "abbreviation"],
+)
+def test_reader_leaves_the_rest_to_argparse(argv):
+    assert cli._read_argv(argv) is None
+
+
+def test_abbreviation_still_reads(capsys):
+    assert run_cli(capsys, "count", "--mu", "2,1", "--ca", "1", "--meth", "det") == (
+        0, "4\n", "")
+
+
+LONG_FLAGS = sorted({flags[-1] for _, _, options in cli._VERBS.values()
+                     for flags, _ in options})
+
+
+# values argparse treats apart: negative numbers (``-`` then decimal digits,
+# Arabic-Indic ones included) are values, other strings starting with ``-``
+# are options, and a lone ``-`` or an empty string is a value
+ODD_VALUES = ("-1", "-1_000", "-\u0663", "-", " -1", "", "1.0", "-h", "--mu", "-1.5",
+              "-1\n", "\u0663", "1_0", "all", "extra")
+
+
+@st.composite
+def _argvs(draw):
+    """argv near the reader's form: a verb, then its required options and
+    some others with good values, in any order.  A few pairs take a form
+    that only argparse reads (an abbreviated or short flag, ``--flag=value``,
+    an odd value), and some argv get a stray pair or a trailing token."""
+    verb = draw(st.sampled_from([*cli._VERBS, "frob", "--help"]))
+    pairs = []
+    for flags, spec in cli._VERBS[verb][2] if verb in cli._VERBS else ():
+        if spec.get("required") or draw(st.booleans()):
+            good = [str(c) for c in spec.get("choices", ())] or ["0", "2", "2,1"]
+            pairs.append((flags, draw(st.sampled_from(good))))
+    if draw(st.integers(0, 3)) == 0:
+        pairs.append(((draw(st.sampled_from(LONG_FLAGS)),),
+                      draw(st.sampled_from(ODD_VALUES))))
+    argv = [verb]
+    for flags, value in draw(st.permutations(pairs)):
+        form = draw(st.integers(0, 14))  # most pairs are left as they are
+        flag = flags[-1]
+        if form == 0:
+            flag = draw(st.sampled_from([flag[:n] for n in range(2, len(flag))]
+                                        + list(flags[:-1])))
+        elif form == 1:
+            value = draw(st.sampled_from(ODD_VALUES))
+        argv += [f"{flag}={value}"] if form == 2 else [flag, value]
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(draw(st.sampled_from(ODD_VALUES)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+@example(["count", "--mu", "1", "--case", "1", "--m", "det"])  # ambiguous
+@example(["count", "--mu", "1", "--case", "1", "--", "det"])
+@example(["count", "--mu", "-h", "--case", "1"])
+@example(["enumerate", "--mu", "1", "--case", "1", "--model", "tiling", "--limit", "-1_000"])
+@example(["verify", "--suite", "main", "--kmax", "-\u0663"])
+@example(["count", "--mu", "2,1", "--case", "1"])
+def test_reader_agrees_with_argparse(argv):
+    # whatever the reader reads, argparse reads the same; whatever argparse
+    # refuses, the reader leaves to it
+    read = cli._read_argv(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+    assert read is None or vars(read) == parsed
+
+
 SRC = Path(aztec_triangles.__file__).resolve().parents[1]
 
 
 WATCHED = ("dataclasses", "inspect")
 # what only a call that prints JSON or builds a Fraction needs
 DEFERRED = ("json", "fractions", "decimal")
+# what only help and usage errors need
+ARGPARSE = ("argparse", "gettext", "locale")
 
 
 def loaded_modules(code, *argv):
-    """The package's submodules, and those of ``WATCHED`` and ``DEFERRED``,
-    in sys.modules after a fresh interpreter runs ``code``, which must
-    import ``sys``."""
+    """The package's submodules, and those of ``WATCHED``, ``DEFERRED`` and
+    ``ARGPARSE``, in sys.modules after a fresh interpreter runs ``code``,
+    which must import ``sys``."""
     code += (
         "\nprint(sorted(m for m in sys.modules"
-        f" if m.startswith('aztec_triangles.') or m in {WATCHED + DEFERRED!r}))"
+        f" if m.startswith('aztec_triangles.') or m in {WATCHED + DEFERRED + ARGPARSE!r}))"
     )
     child = subprocess.run(
         [sys.executable, "-c", code, *argv],
@@ -813,6 +980,21 @@ def test_call_loads_only_what_it_prints_and_computes(argv, absent):
     loaded = loaded_modules(CLI_MAIN, *argv)
     assert "aztec_triangles.cli" in loaded
     assert not set(absent) & loaded, loaded
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [*[(argv, False) for argv in WELL_FORMED.values()],
+     (("--help",), True), (("count", "--mu", "1"), True)],
+    ids=[*WELL_FORMED, "help", "usage-error"],
+)
+def test_only_help_and_usage_errors_load_argparse(argv, loads):
+    loaded = loaded_modules(CLI_MAIN, *argv)
+    assert "aztec_triangles.cli" in loaded
+    if loads:
+        assert "argparse" in loaded
+    else:
+        assert not set(ARGPARSE) & loaded, loaded
 
 
 MODEL_MODULES = {"paths": "paths", "sequence": "sequences", "tableau": "tableaux",
