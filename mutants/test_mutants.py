@@ -104,7 +104,7 @@ MUTANTS = [
     Mutant("tableau-d-above-1-unbarred", PKG + "paths.py",
            "row.append(Entry(y, True))", "row.append(Entry(y, y == 1))",
            "tests/test_unranking.py"),
-    # the verify bounds
+    # the verify bounds and grids, and the empty-sweep check
     Mutant("coeff-r-bound", PKG + "verify.py",
            "range(1, min(s, l - s + 1 - t) + 1)", "range(1, min(s, l - s - t) + 1)",
            "tests/test_verify.py"),
@@ -113,13 +113,27 @@ MUTANTS = [
            "tests/test_verify.py"),
     Mutant("front-exponent", PKG + "verify.py",
            "2 ** (4 * r - 3 + 2 * t)", "2 ** (4 * r - 2 + 2 * t)", "tests/test_verify.py"),
+    Mutant("i-from-1-rows-from-2", PKG + "verify.py",
+           "for i in range(1, limit + 1) for j", "for i in range(2, limit + 1) for j",
+           "tests/test_verify.py"),
+    Mutant("half-shift-grid-to-13", PKG + "verify.py",
+           "square(-1, 12)", "square(-1, 13)", "tests/test_verify.py"),
+    Mutant("run-suite-empty-only-overall", PKG + "verify.py",
+           "        if not found:\n"
+           '            raise ValueError(f"suite {suite!r} with kmax={kmax} produced no records")\n'
+           "        records.extend(found)\n",
+           "        records.extend(found)\n"
+           "    if not records:\n"
+           '        raise ValueError(f"suite {name!r} with kmax={kmax} produced no records")\n',
+           "tests/test_cli.py"),
     # the README's Library block
     Mutant("matrix-repr", PKG + "exact.py", 'return f"Matrix({', 'return f"Mat({',
            "tests/test_readme.py"),
     # the chain search
     Mutant("vertical-strip-lo-plus-2", PKG + "sequences.py",
            "top = lo + 1 if vertical", "top = lo + 2 if vertical", "tests/test_sequences.py"),
-    # the option reader, the stream writer and the out-of-memory exit
+    # the option reader, the model table, the stream writer and the
+    # out-of-memory exit
     Mutant("reader-any-flag-prefix", PKG + "cli.py",
            "text = given.pop(flags[-1], None)",
            "text = next((given.pop(f) for f in list(given) if flags[-1].startswith(f)), None)",
@@ -134,6 +148,9 @@ MUTANTS = [
            "        sys.stdout.write(block)",
            "for block in zip(*[lines] * _STREAM_BLOCK):\n"
            '        sys.stdout.write("".join(block))',
+           "tests/test_cli.py"),
+    Mutant("items-tableau-as-sequence", PKG + "cli.py",
+           "return az.enumerate_tableaux(mu, case)", "return az.enumerate_sequences(mu, case)",
            "tests/test_cli.py"),
     Mutant("out-of-memory-exit-1", PKG + "cli.py",
            'of memory running {args.verb}", file=sys.stderr)\n    return 3',

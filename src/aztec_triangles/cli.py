@@ -14,20 +14,22 @@ Exit codes: 0 success / all checks pass, 1 a verification or crosscheck
 failed, 2 invalid input, 3 enumeration cap exceeded (see AZTEC_CAP) or out
 of memory.
 
-Each verb imports what it runs inside its handler, so a call loads only
-those modules: ``count --method det`` and ``verify`` never load the path,
-tableau, chain or tiling models, and ``--help`` loads none of them.  The
-three verbs that print JSON import ``json`` in their handlers, so
-``count``, ``render`` and ``--help`` never load it.  A well-formed call
-(a verb, then ``--long-flag VALUE`` pairs) reads its options without
-importing ``argparse``, ``gettext`` or ``locale``; ``--help``, ``-h``,
-abbreviations, ``--name=value`` and every usage error still go through
-``argparse``.
+Each verb reads the public names it runs through the package root, which
+imports only their modules, so a call loads only those: ``count --method
+det`` and ``verify`` never load the path, tableau, chain or tiling models,
+and ``--help`` loads none of them.  The three verbs that print JSON import
+``json`` in their handlers, so ``count``, ``render`` and ``--help`` never
+load it.  A well-formed call (a verb, then ``--long-flag VALUE`` pairs)
+reads its options without importing ``argparse``, ``gettext`` or
+``locale``; ``--help``, ``-h``, abbreviations, ``--name=value`` and every
+usage error still go through ``argparse``.
 """
 
 import sys
 from itertools import islice
 from types import SimpleNamespace
+
+import aztec_triangles as az
 
 from .errors import CapExceeded, IdentityError
 from .partitions import Partition, check_partition, normalize
@@ -60,12 +62,8 @@ def _staircase_parameters(mu: Partition):
 def _cmd_count(args) -> int:
     mu = parse_partition(args.mu)
     if args.method == "det":
-        from .delannoy import lgv_determinant
-
-        value = lgv_determinant(mu, args.case)
+        value = az.lgv_determinant(mu, args.case)
     elif args.method == "product":
-        from .formulas import product_case1, product_case2
-
         staircase = _staircase_parameters(mu)
         if staircase is None or staircase[0] < 1:
             raise ValueError(
@@ -73,7 +71,7 @@ def _cmd_count(args) -> int:
             )
         k, n = staircase
         value = (
-            product_case1(k, 2 * n) if args.case == 1 else product_case2(k, n)
+            az.product_case1(k, 2 * n) if args.case == 1 else az.product_case2(k, n)
         )
     else:  # brute
         value = _items("tiling", mu, args.case).goals
@@ -85,23 +83,15 @@ _MODELS = ("paths", "sequence", "tableau", "tiling")
 
 
 def _items(model: str, mu: Partition, case: int):
-    """One model's objects, built as they are read, importing only that
+    """One model's objects, built as they are read, loading only that
     model's module."""
     if model == "sequence":
-        from .sequences import enumerate_sequences
-
-        return enumerate_sequences(mu, case)
+        return az.enumerate_sequences(mu, case)
     if model == "tableau":
-        from .tableaux import enumerate_tableaux
-
-        return enumerate_tableaux(mu, case)
+        return az.enumerate_tableaux(mu, case)
     if model == "paths":
-        from .paths import enumerate_path_families
-
-        return enumerate_path_families(mu, case)
-    from .domains import build_domain, enumerate_tilings
-
-    return enumerate_tilings(build_domain(mu, case))
+        return az.enumerate_path_families(mu, case)
+    return az.enumerate_tilings(az.build_domain(mu, case))
 
 
 # lines per write of a stream: an unbuffered stdout (``python -u``,
@@ -134,8 +124,6 @@ def _cmd_enumerate(args) -> int:
 def _cmd_crosscheck(args) -> int:
     import json
 
-    from .delannoy import lgv_determinant
-
     mu = parse_partition(args.mu)
     case = args.case
     counts = {
@@ -143,7 +131,7 @@ def _cmd_crosscheck(args) -> int:
         "tableaux": _items("tableau", mu, case).goals,
         "paths": _items("paths", mu, case).goals,
         "tilings": _items("tiling", mu, case).goals,
-        "determinant": lgv_determinant(mu, case),
+        "determinant": az.lgv_determinant(mu, case),
     }
     agree = len(set(counts.values())) == 1
     print(json.dumps({"mu": list(mu), "case": case, **counts, "agree": agree}))
@@ -153,26 +141,22 @@ def _cmd_crosscheck(args) -> int:
 def _cmd_verify(args) -> int:
     import json
 
-    from .verify import run_suite
-
-    records = run_suite(args.suite, args.kmax)
+    records = az.run_suite(args.suite, args.kmax)
     print(json.dumps(records, indent=2))
     return 0 if all(r["pass"] for r in records) else 1
 
 
 def _cmd_render(args) -> int:
-    from .domains import build_domain, render
-
     mu = parse_partition(args.mu)
     if args.tiling_index is None:
-        text = render(build_domain(mu, args.case), args.format)
+        text = az.render(az.build_domain(mu, args.case), args.format)
     else:
         tilings = _items("tiling", mu, args.case)
         if not 0 <= args.tiling_index < tilings.goals:
             raise ValueError(
                 f"tiling index {args.tiling_index} out of range (0..{tilings.goals - 1})"
             )
-        text = render(tilings[args.tiling_index], args.format)
+        text = az.render(tilings[args.tiling_index], args.format)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

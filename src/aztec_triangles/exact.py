@@ -84,7 +84,7 @@ def pochhammer(x: Exact, i: int) -> Exact:
 
 
 class Matrix:
-    """Rectangular matrix of exact rationals."""
+    """Rectangular matrix; its ``determinant`` takes ``int`` entries only."""
 
     __slots__ = ("nrows", "entries")
 

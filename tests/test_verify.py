@@ -237,15 +237,25 @@ def test_failing_report_carries_residual(monkeypatch):
 
 
 def test_half_shift_row_fails_on_wrong_expansion(monkeypatch):
-    # the half-shift row compares the expansion with D(i, j+1/2); a wrong
-    # expansion must fail that row alone
-    monkeypatch.setattr(
-        verify, "half_shift_expansion", lambda i, j: verify.delannoy_D(i, j + HALF) + 1
+    # each row checks its whole grid and no more.  The half-shift row
+    # compares the expansion with D(i, j+1/2) on [-1,12]^2: a wrong expansion
+    # must fail that row alone, and one wrong only at max(i, j) = 13 must
+    # fail nothing.  The two i >= 1 rows start at i = 1: an H wrong only
+    # there must fail both.
+    def failed(name, wrong_at):
+        right = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda i, j: right(i, j) + wrong_at(i, j))
+        records = verify.suite_delannoy(6)
+        assert len(records) == 11
+        return [r["params"]["identity"] for r in records if not r["pass"]]
+
+    assert failed("half_shift_expansion", lambda i, j: 1) == ["half-shift expansion"]
+    monkeypatch.undo()
+    assert failed("half_shift_expansion", lambda i, j: max(i, j) == 13) == []
+    monkeypatch.undo()
+    assert {"H = 2 sum_l D(l,i-1), i >= 1", "H binomial sum, i >= 1"} <= set(
+        failed("delannoy_H", lambda i, j: i == 1)
     )
-    records = verify.suite_delannoy(6)
-    assert len(records) == 11
-    failed = [r["params"]["identity"] for r in records if not r["pass"]]
-    assert failed == ["half-shift expansion"]
 
 
 @pytest.mark.parametrize("kmax, count", [(-1, 4), (0, 9)])
