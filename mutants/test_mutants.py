@@ -55,6 +55,14 @@ MUTANTS = [
     Mutant("det-turns-rows-not-each-row", PKG + "exact.py",
            "[list(reversed(row)) for row in", "[list(row) for row in",
            "tests/test_exact.py"),
+    # the LGV assembly, against every shape's top two coefficients
+    Mutant("lgv-column-argument-n-minus-b", PKG + "delannoy.py",
+           "count(mu[a] - a + b, n - b - 1)", "count(mu[a] - a + b, n - b)",
+           "tests/test_shape_polynomials.py"),
+    Mutant("delannoy-H-as-difference", PKG + "delannoy.py",
+           "return delannoy_D(i, j) + delannoy_D(i - 1, j)",
+           "return delannoy_D(i, j) - delannoy_D(i - 1, j)",
+           "tests/test_shape_polynomials.py"),
     # the path and tableau validators
     Mutant("disjoint-never-false", PKG + "paths.py",
            "                return False\n            seen.add(pt)",
@@ -113,6 +121,8 @@ MUTANTS = [
            "tests/test_verify.py"),
     Mutant("front-exponent", PKG + "verify.py",
            "2 ** (4 * r - 3 + 2 * t)", "2 ** (4 * r - 2 + 2 * t)", "tests/test_verify.py"),
+    Mutant("kernel-cache-one-short", PKG + "verify.py",
+           "lru_cache(len(_LEGAL))", "lru_cache(len(_LEGAL) - 1)", "tests/test_verify.py"),
     Mutant("i-from-1-rows-from-2", PKG + "verify.py",
            "for i in range(1, limit + 1) for j", "for i in range(2, limit + 1) for j",
            "tests/test_verify.py"),

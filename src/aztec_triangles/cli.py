@@ -7,8 +7,8 @@ object per element in canonical order; verify prints a JSON report array.
 Brute-force counts (``count --method brute``, ``crosscheck``, the enumerate
 header) are the searches' goal counts and build no object; ``enumerate
 --limit`` and ``render --tiling-index`` build only the objects they print.
-A stream (``sequences.json_lines``) encodes the fields its objects share
-once, and each distinct part (domino, chain entry, row, path) once.
+A stream (``_json_lines``) encodes the fields its objects share once, and
+each distinct part (domino, chain entry, row, path) once.
 
 Exit codes: 0 success / all checks pass, 1 a verification or crosscheck
 failed, 2 invalid input, 3 enumeration cap exceeded (see AZTEC_CAP) or out
@@ -26,6 +26,7 @@ usage error still go through ``argparse``.
 """
 
 import sys
+from functools import cache
 from itertools import islice
 from types import SimpleNamespace
 
@@ -99,6 +100,25 @@ def _items(model: str, mu: Partition, case: int):
 _STREAM_BLOCK = 256
 
 
+def _json_lines(items, dumps):
+    """The lines ``dumps(item.to_json())`` of one stream's items, which
+    differ only in their last field, whose element i alone makes element i
+    of the list ending their JSON.  The head before that list is encoded
+    once, and so is each (i, element), from an item holding i + 1 copies."""
+    text = None
+    for item in items:
+        if text is None:
+            field = item._fields[-1]
+            head = dumps(item._replace(**{field: ()}).to_json())[:-2]  # to the "["
+
+            @cache
+            def text(i_part):
+                i, part = i_part
+                shell = item._replace(**{field: (part,) * (i + 1)})
+                return dumps([*shell.to_json().values()][-1][i])
+        yield f"{head}{', '.join(map(text, enumerate(item[-1])))}]}}\n"
+
+
 def _cmd_enumerate(args) -> int:
     import json
 
@@ -110,12 +130,10 @@ def _cmd_enumerate(args) -> int:
     emitted = total if args.limit is None else min(args.limit, total)
     print(json.dumps({"mu": list(mu), "case": args.case, "model": args.model,
                       "count": total, "emitted": emitted}))
-    from .sequences import json_lines
-
     # a whole stream needs no stop, and islice takes none above sys.maxsize,
     # which no stream reaches
     stop = None if emitted == total else min(emitted, sys.maxsize)
-    lines = json_lines(islice(items, stop))
+    lines = _json_lines(islice(items, stop), json.dumps)
     while block := "".join(islice(lines, _STREAM_BLOCK)):
         sys.stdout.write(block)
     return 0

@@ -40,11 +40,6 @@ def ratio(num: int, den: int) -> Exact:
     return _Fraction(num, den)
 
 
-def normalize(x: Exact) -> Exact:
-    """Collapse integral Fractions to int; leave everything else alone."""
-    return x.numerator if x.denominator == 1 else x
-
-
 def pq(x: Exact) -> tuple[int, int]:
     """Read x as p/q in lowest terms with q > 0 (an ``int`` has q = 1),
     refusing floats (exactness would be lost), strings and Decimals: any

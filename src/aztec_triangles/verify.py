@@ -31,14 +31,14 @@ k^2+2k+4r-4r^2-4s-4ks+4s^2 - l^2 at t = 0 and k^2-4r^2-4ks+4s^2 - l^2 at t = 1.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb, factorial, lcm, prod
 
 from .delannoy import (
     count_D_paths_bruteforce, count_H_paths_bruteforce, delannoy_D, delannoy_H,
     half_shift_expansion, lgv_determinant, staircase_rows,
 )
-from .exact import Exact, Matrix, binomial, normalize, pochhammer, ratio
+from .exact import Exact, Matrix, binomial, pochhammer, ratio
 from .formulas import leading_coefficient, product_main
 
 _HALF = Fraction(1, 2)
@@ -175,7 +175,7 @@ def _double_sum(k: int, s: int, t: int) -> Exact:
             for l in range(p + 1)
         )
         total += (-1) ** (k - t) * _front(s, r, t) * Fraction(inner, p * q)
-    return normalize(total)
+    return ratio(total.numerator, total.denominator)
 
 
 def check_id1(k: int, s: int) -> Exact:
@@ -288,18 +288,18 @@ def step_parameter_grid(kmax: int):
 
 
 def suite_kernels(kmax: int = 8) -> list[dict]:
-    # The steps at one (k, s) share their roots n, and no other (k, s) has
-    # those roots, so each D1(k; n) is built once and kept for that (k, s).
-    # Step 4's weights depend only on (s - a, i - a, t) and are kept for the
-    # whole call.
-    d1, coeff = cache(lambda k, n: staircase_rows(k, n, 1)), cache(_coeff)
-    records, at = [], None
-    for step, k, s, a, variant in step_parameter_grid(kmax):
-        if (k, s) != at:
-            at = (k, s)
-            d1.cache_clear()
-        records.append(_kernel_step(step, variant, k, s, a, d1, coeff))
-    return records
+    # A step's root n depends only on (k, s) and its _LEGAL row, not on a,
+    # and no other (k, s) has that root.  The grid runs (k, s) by (k, s),
+    # so at most len(_LEGAL) matrices D1(k; n) are in use at once: an LRU
+    # cache of that size builds each once and evicts it only after its
+    # (k, s) is done.  Step 4's weights depend only on (s - a, i - a, t) and
+    # are kept for the whole call.
+    d1 = lru_cache(len(_LEGAL))(lambda k, n: staircase_rows(k, n, 1))
+    coeff = cache(_coeff)
+    return [
+        _kernel_step(step, variant, k, s, a, d1, coeff)
+        for step, k, s, a, variant in step_parameter_grid(kmax)
+    ]
 
 
 def suite_delannoy(limit: int = 20) -> list[dict]:
@@ -386,15 +386,13 @@ def suite_detprop(kmax: int = 6) -> list[dict]:
 
 
 def suite_main(kmax: int = 5) -> list[dict]:
-    points = [Fraction(n) for n in range(-2, 7)]
+    points = list(range(-2, 7))
     points += [Fraction(2 * h + 1, 2) for h in range(-2, 6)]  # -3/2 .. 11/2
-    out = []
-    for k in range(kmax + 1):
-        for n in points:
-            out.append(
-                _record("main", {"k": k, "n": str(normalize(n))}, check_main(k, n))
-            )
-    return out
+    return [
+        _record("main", {"k": k, "n": str(n)}, check_main(k, n))
+        for k in range(kmax + 1)
+        for n in points
+    ]
 
 
 def suite_degree(kmax: int = 4) -> list[dict]:

@@ -65,6 +65,21 @@ def test_full_legal_grid_small():
     assert records and all(r["pass"] for r in records)
 
 
+@pytest.mark.parametrize("kmax, built", [(8, 100), (14, 340)])
+def test_kernel_suite_builds_each_matrix_once(monkeypatch, kmax, built):
+    # the steps at one (k, s) share its roots, so each D1(k; n) the grid
+    # needs is built exactly once
+    calls = []
+
+    def recorder(k, n, case):
+        calls.append((k, n))
+        return staircase_rows(k, n, case)
+
+    monkeypatch.setattr(verify, "staircase_rows", recorder)
+    assert all(r["pass"] for r in suite_kernels(kmax))
+    assert len(calls) == len(set(calls)) == built
+
+
 def test_grid_contains_expected_points():
     grid = set(step_parameter_grid(4))
     assert ("step1", 2, 0, 0, None) in grid
