@@ -55,14 +55,18 @@ MUTANTS = [
     Mutant("det-turns-rows-not-each-row", PKG + "exact.py",
            "[list(reversed(row)) for row in", "[list(row) for row in",
            "tests/test_exact.py"),
-    # the LGV assembly, against every shape's top two coefficients
+    Mutant("matrix-rectangular", PKG + "exact.py",
+           "len(row) != self.nrows for row", "len(row) != len(self.entries[0]) for row",
+           "tests/test_exact.py"),
+    # the LGV assembly and its H entries
     Mutant("lgv-column-argument-n-minus-b", PKG + "delannoy.py",
            "count(mu[a] - a + b, n - b - 1)", "count(mu[a] - a + b, n - b)",
            "tests/test_shape_polynomials.py"),
     Mutant("delannoy-H-as-difference", PKG + "delannoy.py",
-           "return delannoy_D(i, j) + delannoy_D(i - 1, j)",
-           "return delannoy_D(i, j) - delannoy_D(i - 1, j)",
+           "comb(i, l) + comb(i - 1, l)", "comb(i, l) - comb(i - 1, l)",
            "tests/test_shape_polynomials.py"),
+    Mutant("delannoy-H-at-0", PKG + "delannoy.py", "if i else 1", "if i else 2",
+           "tests/test_delannoy.py"),
     # the path and tableau validators
     Mutant("disjoint-never-false", PKG + "paths.py",
            "                return False\n            seen.add(pt)",
@@ -142,8 +146,8 @@ MUTANTS = [
     # the chain search
     Mutant("vertical-strip-lo-plus-2", PKG + "sequences.py",
            "top = lo + 1 if vertical", "top = lo + 2 if vertical", "tests/test_sequences.py"),
-    # the option reader, the model table, the stream writer and the
-    # out-of-memory exit
+    # the option reader, the digit limit, the model table, the stream writer
+    # and the out-of-memory exit
     Mutant("reader-any-flag-prefix", PKG + "cli.py",
            "text = given.pop(flags[-1], None)",
            "text = next((given.pop(f) for f in list(given) if flags[-1].startswith(f)), None)",
@@ -161,6 +165,25 @@ MUTANTS = [
            "tests/test_cli.py"),
     Mutant("items-tableau-as-sequence", PKG + "cli.py",
            "return az.enumerate_tableaux(mu, case)", "return az.enumerate_sequences(mu, case)",
+           "tests/test_cli.py"),
+    Mutant("digit-limit-after-argv", PKG + "cli.py",
+           "        sys.set_int_max_str_digits(0)\n"
+           "    args = _read_argv(sys.argv[1:] if argv is None else argv)\n"
+           "    if args is None:\n"
+           "        try:\n"
+           "            args = build_parser().parse_args(argv)\n"
+           "        except SystemExit as exc:\n"
+           "            # argparse exits 2 on usage errors and 0 on --help\n"
+           "            return int(exc.code or 0)\n",
+           "        pass\n"
+           "    args = _read_argv(sys.argv[1:] if argv is None else argv)\n"
+           "    if args is None:\n"
+           "        try:\n"
+           "            args = build_parser().parse_args(argv)\n"
+           "        except SystemExit as exc:\n"
+           "            # argparse exits 2 on usage errors and 0 on --help\n"
+           "            return int(exc.code or 0)\n"
+           "    sys.set_int_max_str_digits(0)\n",
            "tests/test_cli.py"),
     Mutant("out-of-memory-exit-1", PKG + "cli.py",
            'of memory running {args.verb}", file=sys.stderr)\n    return 3',

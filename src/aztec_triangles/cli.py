@@ -276,6 +276,9 @@ def _read_argv(argv):
 
 
 def main(argv=None) -> int:
+    # integers of any size read and print; older Pythons have no such limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = _read_argv(sys.argv[1:] if argv is None else argv)
     if args is None:
         try:
@@ -283,9 +286,6 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             # argparse exits 2 on usage errors and 0 on --help
             return int(exc.code or 0)
-    # counts of any size print; older Pythons have no int-to-str limit
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except CapExceeded as exc:

@@ -3,12 +3,12 @@ and the half-integer expansion.
 
 ``delannoy_D`` is the binomial-sum form, which extends D to any rational
 second argument (it is a polynomial in j of degree i).  ``delannoy_H`` is
-D(i,j) + D(i-1,j) computed from that extension; on j >= -1 this agrees with
+D(i,j) + D(i-1,j) summed once from that extension; on j >= -1 this agrees with
 the combinatorial definition (0 for j < 0 except H(0,-1) = 1), while for
 j <= -2 it continues H as a polynomial, which the determinant relation
 between the two matrix families needs.
 
-``delannoy_D`` reads its second argument as j = p/q in lowest terms, an
+Their one sum reads its second argument as j = p/q in lowest terms, an
 ``int`` as q = 1, and has one formula for both: an ``int`` numerator over
 one common denominator, finished by ``exact.ratio``, which gives an ``int``
 at an integer j and builds no ``Fraction``.
@@ -41,14 +41,24 @@ from .partitions import Partition, check_partition
 
 def delannoy_D(i: int, j: Exact) -> Exact:
     """Sum over l of C(i,l) C(j,l) 2^l; counts N/NE/E paths to (i,j) when
-    i, j are non-negative integers.  Returns 0 for i < 0.
+    i, j are non-negative integers.  Returns 0 for i < 0."""
+    return _binomial_sum(i, j, comb)
+
+
+def delannoy_H(i: int, j: int) -> int:
+    """H(i,j) = D(i,j) + D(i-1,j): D's sum with C(i,l) + C(i-1,l) for C(i,l)."""
+    return _binomial_sum(i, j, lambda i, l: comb(i, l) + comb(i - 1, l) if i else 1)
+
+
+def _binomial_sum(i: int, j: Exact, coefficient) -> Exact:
+    """Sum over l <= i of c_l C(j,l) 2^l, c_l = coefficient(i, l); 0 for i < 0.
 
     With j = p/q in lowest terms (an ``int`` j has q = 1), C(j,l) =
     prod_{m<l} (p - m q) / (q^l l!), so the sum to ``top`` is one ``int``
     numerator over q^top top!, whose term l is
-    C(i,l) 2^l prod_{m<l} (p - m q) q^(top-l) top!/l!.  The sum runs to
+    c_l 2^l prod_{m<l} (p - m q) q^(top-l) top!/l!.  The sum runs to
     top = min(i, j) when j is a non-negative integer, since C(j,l) = 0 past
-    j, and to top = i otherwise.  At an integer j the quotient is D(i, j),
+    j, and to top = i otherwise.  At an integer j the quotient is D or H,
     an integer, which ``ratio`` gives as an ``int``, building no
     ``Fraction``."""
     p, q = pq(j)
@@ -57,16 +67,11 @@ def delannoy_D(i: int, j: Exact) -> Exact:
     top = min(i, p) if q == 1 and p >= 0 else i
     num, falling, tail = 0, 1, factorial(top)  # tail = top!/l!
     for l in range(top + 1):
-        num += (comb(i, l) * falling * q ** (top - l) * tail) << l
+        num += (coefficient(i, l) * falling * q ** (top - l) * tail) << l
         falling *= p - l * q
         tail //= l + 1
     den = q**top * factorial(top)
     return ratio(num, den)
-
-
-def delannoy_H(i: int, j: int) -> int:
-    """H(i,j) = D(i,j) + D(i-1,j)."""
-    return delannoy_D(i, j) + delannoy_D(i - 1, j)
 
 
 def lgv_matrix(mu: Partition, case: int) -> Matrix:

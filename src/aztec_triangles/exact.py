@@ -12,11 +12,11 @@ never loads it.
 terms, an ``int`` as q = 1, and refuses a float.  ``pochhammer`` takes every
 integer index: an ``int`` product over q^i, or q^m over an ``int`` product
 at i = -m < 0.  ``binomial`` is a ``pochhammer`` over l!.
-``Matrix.determinant`` takes ``int`` entries only and eliminates in ``int``
-arithmetic, turned 180 degrees so that Bareiss keeps an LGV matrix's small
-minors.  A caller with rational entries scales each row to integers itself
-(``delannoy.staircase_rows`` builds its rows that way) and divides the
-determinant by the product of the scales.
+``Matrix`` is square; its ``determinant`` takes ``int`` entries only and
+eliminates in ``int`` arithmetic, turned 180 degrees so that Bareiss keeps
+an LGV matrix's small minors.  A caller with rational entries scales each
+row to integers itself (``delannoy.staircase_rows`` builds its rows that
+way) and divides the determinant by the product of the scales.
 """
 
 from math import factorial, prod
@@ -79,18 +79,15 @@ def pochhammer(x: Exact, i: int) -> Exact:
 
 
 class Matrix:
-    """Rectangular matrix; its ``determinant`` takes ``int`` entries only."""
+    """Square matrix; its ``determinant`` takes ``int`` entries only."""
 
     __slots__ = ("nrows", "entries")
 
     def __init__(self, rows):
         self.entries = tuple(tuple(row) for row in rows)
         self.nrows = len(self.entries)
-        if any(len(r) != len(self.entries[0]) for r in self.entries):
-            raise ValueError("matrix rows have unequal lengths")
-
-    def __eq__(self, other):
-        return isinstance(other, Matrix) and self.entries == other.entries
+        if any(len(row) != self.nrows for row in self.entries):
+            raise ValueError(f"not square: row lengths {[*map(len, self.entries)]}")
 
     def __repr__(self):
         return f"Matrix({[list(r) for r in self.entries]!r})"
@@ -114,8 +111,6 @@ class Matrix:
         ``int`` raises ``TypeError``.
         """
         n = self.nrows
-        if any(len(row) != n for row in self.entries):
-            raise ValueError(f"determinant of {n}x{len(self.entries[0])} matrix")
         for row in self.entries:
             for x in row:
                 if type(x) is not int:

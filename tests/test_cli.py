@@ -146,6 +146,31 @@ def test_enumerate_limit_above_maxsize_streams_all(capsys):
     assert out == full and len(out.splitlines()) == 5  # the header and 4 tilings
 
 
+# 5,000 digits, more than the 4,300 that int() reads by default
+LONG_INT = "1" * 5000
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python reads an int of any length")
+@pytest.mark.parametrize("argv, code, out_lines, err", [
+    (("enumerate", "--mu", "2,1", "--case", "1", "--model", "tiling", "--limit", LONG_INT),
+     0, 5, ""),  # the header and 4 tilings
+    (("render", "--mu", "2,1", "--case", "1", "--tiling-index", LONG_INT, "--format", "ascii"),
+     2, 0, f"error: tiling index {LONG_INT} out of range (0..3)\n"),
+], ids=["limit", "tiling-index"])
+def test_integer_options_of_any_length(capsys, argv, code, out_lines, err):
+    # main lifts the limit on int digits before it reads argv; the default
+    # limit is set around the call, whichever call ran before this one
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        got = run_cli(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert (got[0], got[2]) == (code, err)
+    assert len(got[1].splitlines()) == out_lines
+
+
 # sha256 of the full `enumerate --mu 4,3,2,1 --case 1` stdout of each model
 STREAM_DIGESTS = {
     "sequence": "a00705acf9b6f8fed1b555ccb218e7cd019a6db8a125e065687038226813b087",
@@ -903,6 +928,98 @@ def test_reader_agrees_with_argparse(argv):
         except SystemExit:
             parsed = None
     assert read is None or vars(read) == parsed
+
+
+def _values(good, bad):
+    """A good value, or one time in ten a bad one."""
+    return st.integers(0, 9).flatmap(lambda roll: bad if roll == 0 else good)
+
+
+_PARTITIONS = sorted({",".join(map(str, mu)) for mu in small_partitions(3, 4)})
+_INDICES = _values(st.integers(-2, 40), st.just(2**64)).map(str)
+# each option's values in the exit-code contract
+CONTRACT_VALUES = {
+    "--mu": _values(st.sampled_from(_PARTITIONS),
+                    st.sampled_from(["", ",,", "a", "1.5", "-1", "1,2"])),
+    "--case": _values(st.sampled_from(["1", "2"]), st.sampled_from(["0", "3", "x"])),
+    "--method": _values(st.sampled_from(["det", "product", "brute"]), st.just("fast")),
+    "--model": _values(st.sampled_from(cli._MODELS), st.just("domino")),
+    "--format": _values(st.sampled_from(["ascii", "svg"]), st.just("png")),
+    "--suite": _values(st.sampled_from([*cli.SUITE_NAMES, "all"]), st.just("none")),
+    "--limit": _INDICES,
+    "--tiling-index": _INDICES,
+    "--kmax": st.integers(-3, 6).map(str),
+}
+# AZTEC_CAP: unset, below the default of 10^7, above it, or not a positive int
+CAPS = _values(st.sampled_from([None, None, "1", "1000", str(2**70)]),
+               st.sampled_from(["0", "-3", "x"]))
+
+
+@st.composite
+def _contract_calls(draw):
+    """A verb with small or malformed values for its options (never
+    ``--output``, which writes a file), a few given as an abbreviation or as
+    ``--name=value``, sometimes with an unknown flag; and an AZTEC_CAP."""
+    verb = draw(st.sampled_from(sorted(cli._VERBS)))
+    pairs = []
+    for flags, spec in cli._VERBS[verb][2]:
+        flag = flags[-1]
+        if flag == "--output" or not draw(st.integers(0, 19) if spec.get("required")
+                                          else st.booleans()):
+            continue
+        value = draw(CONTRACT_VALUES[flag])
+        form = draw(st.integers(0, 9))  # most pairs are left as they are
+        if form == 0:
+            flag = draw(st.sampled_from([flag[:n] for n in range(3, len(flag))]))
+        pairs.append([f"{flag}={value}"] if form == 1 else [flag, value])
+    if draw(st.integers(0, 9)) == 0:
+        pairs.append(draw(st.sampled_from([["--frob"], ["--frob", "1"], ["--frob=1"]])))
+    argv = [verb, *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+    return argv, draw(CAPS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_contract_calls())
+@example((["crosscheck", "--mu", "3,3,3,3", "--case", "2"], None))
+@example((["crosscheck", "--mu", "3,3,3,3", "--case", "2"], "1000"))
+@example((["enumerate", "--mu", "3,3,3", "--case", "2", "--model", "paths"], "1"))
+@example((["count", "--mu", "3,2,1", "--case", "1", "--method", "brute"], "1"))
+@example((["render", "--mu", "2,1", "--case", "1", "--tiling-index", str(2**64),
+           "--format", "svg"], None))
+@example((["verify", "--suite", "all", "--kmax", "0"], None))
+def test_exit_code_contract(call):
+    # every small or malformed call exits 0, 2 or 3 (these shapes are small
+    # enough that no check fails), 3 only under a cap below the default,
+    # never with a traceback, and any failure ends in one error line
+    argv, cap = call
+    before = os.environ.get("AZTEC_CAP")
+    if cap is None:
+        os.environ.pop("AZTEC_CAP", None)
+    else:
+        os.environ["AZTEC_CAP"] = cap
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        if before is None:
+            os.environ.pop("AZTEC_CAP", None)
+        else:
+            os.environ["AZTEC_CAP"] = before
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 3:
+        assert cap in ("1", "1000")
+    if code:
+        lines = err.splitlines()
+        assert err.endswith("\n") and "error: " in lines[-1]
+        assert sum("error:" in line for line in lines) == 1
+    elif argv[0] in ("crosscheck", "verify"):
+        json.loads(out)
+    elif argv[0] == "enumerate":
+        for line in out.splitlines():
+            json.loads(line)
 
 
 SRC = Path(aztec_triangles.__file__).resolve().parents[1]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aztec_triangles import delannoy
 from aztec_triangles.cli import main
 from aztec_triangles.delannoy import (
     count_D_paths_bruteforce,
@@ -59,6 +60,28 @@ def test_delannoy_H_examples():
     assert delannoy_H(1, 1) == 4  # D(1,1) + D(0,1)
     assert delannoy_H(-1, 5) == 0
     assert delannoy_H(3, -1) == 0
+
+
+def test_delannoy_H_is_D_plus_D():
+    # H is one binomial sum; its oracle is its definition as two D sums
+    seconds = [*range(-6, 41), *(Fraction(a, 2) for a in range(-9, 10, 2)),
+               Fraction(1, 3), Fraction(-5, 3)]
+    for i in range(-3, 41):
+        for j in seconds:
+            assert delannoy_H(i, j) == delannoy_D(i, j) + delannoy_D(i - 1, j), (i, j)
+
+
+def test_lgv_matrix_reads_each_entry_once(monkeypatch):
+    # one D sum per case-1 entry, and none in case 2, whose H entries are
+    # each one sum of their own
+    calls = []
+    d = delannoy.delannoy_D
+    monkeypatch.setattr(delannoy, "delannoy_D", lambda i, j: calls.append(i) or d(i, j))
+    staircase = tuple(range(12, 0, -1))
+    for case, made in ((2, 0), (1, 144)):
+        calls.clear()
+        delannoy.lgv_matrix(staircase, case)
+        assert len(calls) == made, case
 
 
 def test_bruteforce_D_examples():

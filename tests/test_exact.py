@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import permutations
@@ -220,3 +221,15 @@ def test_matrix_accessors():
     Matrix([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
         Matrix([[1, 2], [3]])
+
+
+def test_matrix_is_square_when_built():
+    for rows, lengths in (([[1, 2], [3]], "[2, 1]"), ([[1, 2, 3], [4, 5, 6]], "[3, 3]"),
+                          ([[1], [2]], "[1, 1]")):
+        with pytest.raises(ValueError, match=re.escape(f"row lengths {lengths}")):
+            Matrix(rows)
+
+
+def test_matrix_defines_no_equality():
+    # two matrices are compared by their entries
+    assert "__eq__" not in vars(Matrix)
